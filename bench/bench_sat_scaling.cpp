@@ -27,6 +27,10 @@ static void sweep(const char *Title, sat::AtMostOneStyle Style,
               "result", "encode-s", "solve-s");
   driver::Superoptimizer Opt;
   Opt.options().Search.MaxCycles = 8;
+  // The per-K reference ladder: each probe reports its whole budget-K
+  // instance, not the layers a shared solver gained.
+  Opt.options().Search.Strategy = codegen::SearchStrategy::Portfolio;
+  Opt.options().Search.Threads = 1;
   Opt.options().Search.Encoding.AmoStyle = Style;
   Opt.options().Search.Encoding.SingleCluster = SingleCluster;
   driver::CompileResult R = Opt.compileSource(byteswapSource(4));

@@ -67,7 +67,6 @@ int main(int argc, char **argv) {
       {"linear", codegen::SearchStrategy::Linear},
       {"binary", codegen::SearchStrategy::Binary},
       {"portfolio", codegen::SearchStrategy::Portfolio},
-      {"incremental", codegen::SearchStrategy::Incremental},
   };
 
   banner("E13", Smoke ? "differential harness throughput (smoke)"

@@ -11,10 +11,6 @@
 //                        probes made irrelevant by a SAT answer
 //     --threads N        portfolio worker count / window width
 //                        (default: hardware concurrency)
-//     --incremental      reuse one SAT solver across the budget ladder
-//                        (monotone encoding + assumption per budget);
-//                        composes with --binary-search, alone it runs
-//                        the linear ladder incrementally
 //     --match-budget N   per-axiom, per-round raw-match budget; an axiom
 //                        that overflows sits out a round and returns with
 //                        double the budget (0 = unlimited, the default)
@@ -112,8 +108,6 @@ int main(int argc, char **argv) {
       Opts.Search.Strategy = codegen::SearchStrategy::Portfolio;
     } else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc) {
       Opts.Search.Threads = static_cast<unsigned>(std::atoi(argv[++I]));
-    } else if (!std::strcmp(argv[I], "--incremental")) {
-      Opts.Search.Incremental = true;
     } else if (const char *V =
                    flagValue(argv[I], "--match-budget", I, argc, argv)) {
       Opts.Matching.MatchBudget =
@@ -163,7 +157,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "usage: denali [--machine NAME] [--max-cycles N] "
                  "[--binary-search] "
-                 "[--portfolio] [--threads N] [--incremental] "
+                 "[--portfolio] [--threads N] "
                  "[--match-budget N] [--match-phases] [--match-threads N] "
                  "[--match-eager-rebuild] [--profile-ledger=FILE] "
                  "[--match-adaptive] [--show-nops] "

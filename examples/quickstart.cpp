@@ -39,7 +39,7 @@ int main() {
               R.Matching.Rounds, R.Matching.FinalNodes,
               R.Matching.FinalClasses);
   for (const codegen::Probe &P : R.Search.Probes)
-    std::printf("probe K=%u: %d vars, %llu clauses -> %s\n", P.Cycles,
+    std::printf("probe K=%u: adds %d vars, %llu clauses -> %s\n", P.Cycles,
                 P.Stats.Vars, static_cast<unsigned long long>(P.Stats.Clauses),
                 P.Result == sat::SolveResult::Sat ? "SAT (program found)"
                                                   : "UNSAT (lower bound)");

@@ -31,116 +31,54 @@ const char *denali::codegen::clauseFamilyName(ClauseFamily F) {
     return "guard";
   case ClauseFamily::Memory:
     return "memory";
-  case ClauseFamily::Monotone:
-    return "monotone";
+  case ClauseFamily::Gating:
+    return "gating";
   }
   return "unknown";
 }
 
-EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
-                              const EncoderOptions &Opts) {
-  const unsigned K = Opts.Cycles;
-  const unsigned NC = numClusters(Opts);
-  LastCycles = K;
-  LastClusters = NC;
-
-  obs::ObsSpan Span("encode");
-  EncodingStats Stats;
-  const uint64_t ClausesAtStart = S.numClauses();
-  // Per-family clause attribution: the solver's clause count sampled at
-  // each constraint-block boundary.
-  uint64_t FamilyMark = ClausesAtStart;
-  auto takeFamily = [&](uint64_t &Into) {
-    uint64_t Now = S.numClauses();
-    Into = Now - FamilyMark;
-    FamilyMark = Now;
-  };
-  // Refutation attribution: stamp each clause block with its family plus
-  // whatever cycle/unit/term coordinates the block is specific to. A plain
-  // member store per block when enabled, nothing at all when not.
-  auto tag = [&](uint32_t T) {
-    if (Opts.TagClauses)
-      S.setClauseTag(T);
-  };
-
+Encoder::Encoder(const EGraph &G, const machine::MachineModel &M,
+                 const Universe &U, const std::vector<NamedGoal> &Goals,
+                 const EncoderOptions &Opts, Solver &S)
+    : G(G), M(M), U(U), Goals(Goals), Opts(Opts), S(S),
+      NumUnits(M.numUnits()),
+      NumClusters(Opts.SingleCluster ? 1 : M.numClusters()) {
   const std::vector<MachineTerm> &Terms = U.terms();
-  const std::vector<ClassId> &Needed = U.neededClasses();
-
-  // --- Variables -----------------------------------------------------------
-  // Dense tables; creation order (all L's, then all B's) matches the
-  // variable numbering the tree-map encoder produced.
-  LDense.assign(Terms.size() * NumUnits * K, -1);
-  for (size_t T = 0; T < Terms.size(); ++T)
-    for (machine::UnitId Un : Terms[T].Units)
-      for (unsigned I = 0; I < K; ++I)
-        LDense[lIndex(T, Un, I)] = S.newVar();
-  BDense.assign(Needed.size() * NC * K, -1);
-  BClassRow.clear();
-  BClassRow.reserve(Needed.size() * 2);
-  for (size_t R = 0; R < Needed.size(); ++R) {
-    if (!BClassRow.emplace(G.find(Needed[R]), static_cast<uint32_t>(R))
-             .second)
-      continue; // Duplicate canonical class; first row wins.
-    for (unsigned C = 0; C < NC; ++C)
-      for (unsigned I = 0; I < K; ++I)
-        BDense[bIndex(static_cast<uint32_t>(R), C, I)] = S.newVar();
-  }
-
-  auto LVar = [&](size_t T, machine::UnitId Un, unsigned I) {
-    sat::Var V = LDense[lIndex(T, Un, I)];
-    assert(V >= 0 && "missing L variable");
-    return Lit::pos(V);
-  };
-  auto BVar = [&](ClassId Q, unsigned C, unsigned I) {
-    auto It = BClassRow.find(G.find(Q));
-    assert(It != BClassRow.end() && "missing B class");
-    sat::Var V = BDense[bIndex(It->second, C, I)];
-    assert(V >= 0 && "missing B variable");
-    return Lit::pos(V);
+  std::unordered_map<ClassId, uint32_t> RowOf;
+  for (ClassId Q : U.neededClasses())
+    if (RowOf.emplace(G.find(Q), static_cast<uint32_t>(RowClass.size()))
+            .second)
+      RowClass.push_back(Q); // Duplicate canonical class; first row wins.
+  auto rowOf = [&](ClassId Q) {
+    auto It = RowOf.find(G.find(Q));
+    assert(It != RowOf.end() && "missing B class");
+    return It->second;
   };
 
-  // Extra cycles before term T's result (launched on unit Un) is usable on
-  // cluster C: stores write shared state, everything else pays the
-  // cross-cluster delay.
-  auto crossDelay = [&](const MachineTerm &T, machine::UnitId Un, unsigned C) {
-    if (Opts.SingleCluster || T.IsStore)
-      return 0u;
-    return clusterOfUnit(Un, Opts) == C ? 0u : M.crossClusterDelay();
-  };
-
-  // --- Condition 3 (+1): B(q,c,i) holds iff some member completed by i. ---
-  for (ClassId Q : U.neededClasses()) {
-    for (unsigned C = 0; C < NC; ++C) {
-      for (unsigned I = 0; I < K; ++I) {
-        tag(makeClauseTag(ClauseFamily::Definition, I, ~0u, G.find(Q)));
-        Lit B = BVar(Q, C, I);
-        sat::ClauseLits Definition{~B};
-        if (I > 0) {
-          Lit Prev = BVar(Q, C, I - 1);
-          Definition.push_back(Prev);
-          S.addClause(~Prev, B); // Monotonic.
+  // Launch at J completes (on cluster C) at the end of cycle J + Offset:
+  // latency - 1, plus the cross-cluster delay unless the result is a store
+  // (stores write shared state).
+  LinksBegin.reserve(RowClass.size() * NumClusters + 1);
+  for (ClassId Q : RowClass) {
+    for (unsigned C = 0; C < NumClusters; ++C) {
+      LinksBegin.push_back(static_cast<uint32_t>(Links.size()));
+      for (size_t T : U.producersOf(Q)) {
+        const MachineTerm &MT = Terms[T];
+        assert(MT.Latency >= 1 && "a layer may only look back in time");
+        for (machine::UnitId Un : MT.Units) {
+          unsigned Cross =
+              Opts.SingleCluster || MT.IsStore || clusterOfUnit(Un) == C
+                  ? 0u
+                  : M.crossClusterDelay();
+          Links.push_back(ProducerLink{static_cast<uint32_t>(T), Un,
+                                       MT.Latency - 1 + Cross});
         }
-        for (size_t T : U.producersOf(Q)) {
-          const MachineTerm &MT = Terms[T];
-          for (machine::UnitId Un : MT.Units) {
-            // Launch at J completes (on cluster C) at the end of cycle
-            // J + latency - 1 + crossDelay; completion exactly at I:
-            int J = static_cast<int>(I) -
-                    static_cast<int>(MT.Latency - 1 + crossDelay(MT, Un, C));
-            if (J < 0 || J >= static_cast<int>(K))
-              continue;
-            Lit L = LVar(T, Un, static_cast<unsigned>(J));
-            Definition.push_back(L);
-            S.addClause(~L, B);
-          }
-        }
-        S.addClause(Definition);
       }
     }
   }
-  takeFamily(Stats.DefinitionClauses);
+  LinksBegin.push_back(static_cast<uint32_t>(Links.size()));
 
-  // --- Condition 2: operands available before launch. ---------------------
+  OperandRows.resize(Terms.size());
   for (size_t T = 0; T < Terms.size(); ++T) {
     const MachineTerm &MT = Terms[T];
     for (size_t ArgIdx = 0; ArgIdx < MT.Args.size(); ++ArgIdx) {
@@ -150,206 +88,281 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
       if (!MT.IsLdiq &&
           U.isImmOperand(G, *MT.Desc, ArgIdx, MT.Args.size(), A))
         continue;
-      for (machine::UnitId Un : MT.Units) {
-        unsigned C = clusterOfUnit(Un, Opts);
-        for (unsigned I = 0; I < K; ++I) {
-          tag(makeClauseTag(ClauseFamily::Operand, I, Un,
-                            static_cast<uint32_t>(T)));
-          Lit L = LVar(T, Un, I);
-          if (I == 0)
-            S.addClause(~L); // No cycle -1 to have computed the operand in.
-          else
-            S.addClause(~L, BVar(A, C, I - 1));
-        }
-      }
+      OperandRows[T].push_back(rowOf(A));
     }
   }
 
-  takeFamily(Stats.OperandClauses);
-
-  // --- Condition 4: issue exclusivity per (cycle, unit). ------------------
-  for (unsigned UIdx = 0; UIdx < NumUnits; ++UIdx) {
-    for (unsigned I = 0; I < K; ++I) {
-      tag(makeClauseTag(ClauseFamily::Exclusivity, I, UIdx));
-      sat::ClauseLits Group;
-      for (size_t T = 0; T < Terms.size(); ++T) {
-        sat::Var V = LDense[lIndex(T, UIdx, I)];
-        if (V >= 0)
-          Group.push_back(Lit::pos(V));
-      }
-      sat::addAtMostOne(S, Group, Opts.AmoStyle);
-    }
+  for (const NamedGoal &Goal : Goals) {
+    ClassId Q = G.find(Goal.Class);
+    GoalRows.push_back(U.isFree(Q) ? -1 : static_cast<int32_t>(rowOf(Q)));
   }
-  takeFamily(Stats.ExclusivityClauses);
-
-  // --- Condition 5: goals computed within K cycles. ------------------------
-  // In monotone mode every budget's deadline is gated by its activation
-  // literal instead (below), so no unconditional deadline is emitted.
-  if (!Opts.Monotone) {
-    for (size_t GIdx = 0; GIdx < Goals.size(); ++GIdx) {
-      const NamedGoal &Goal = Goals[GIdx];
-      ClassId Q = G.find(Goal.Class);
-      if (U.isFree(Q))
-        continue;
-      tag(makeClauseTag(ClauseFamily::Deadline, ~0u, ~0u,
-                        static_cast<uint32_t>(GIdx)));
-      sat::ClauseLits Clause;
-      for (unsigned C = 0; C < NC; ++C)
-        Clause.push_back(BVar(Q, C, K - 1));
-      S.addClause(Clause);
-    }
-  }
-  takeFamily(Stats.DeadlineClauses);
-
-  // --- Section 7: guard before unsafe (memory) operations. -----------------
   if (Opts.GuardClass) {
     ClassId Gd = G.find(*Opts.GuardClass);
-    if (!U.isFree(Gd)) {
-      for (size_t T = 0; T < Terms.size(); ++T) {
-        const MachineTerm &MT = Terms[T];
-        if (!MT.IsLoad && !MT.IsStore)
-          continue;
-        for (machine::UnitId Un : MT.Units) {
-          for (unsigned I = 0; I < K; ++I) {
-            tag(makeClauseTag(ClauseFamily::Guard, I, Un,
-                              static_cast<uint32_t>(T)));
-            Lit L = LVar(T, Un, I);
-            if (I == 0) {
-              S.addClause(~L);
-              continue;
-            }
-            sat::ClauseLits Clause{~L};
-            for (unsigned C = 0; C < NC; ++C)
-              Clause.push_back(BVar(Gd, C, I - 1));
-            S.addClause(Clause);
-          }
-        }
-      }
-    }
+    if (!U.isFree(Gd))
+      GuardRow = static_cast<int32_t>(rowOf(Gd));
   }
-  takeFamily(Stats.GuardClauses);
 
-  // --- Memory discipline. ---------------------------------------------------
-  // Each store launches at most once (a replayed store could overwrite a
-  // later store to the same unprovably-distinct address).
-  for (size_t T = 0; T < Terms.size(); ++T) {
-    const MachineTerm &MT = Terms[T];
-    if (!MT.IsStore)
-      continue;
-    tag(makeClauseTag(ClauseFamily::Memory, ~0u, ~0u,
-                      static_cast<uint32_t>(T)));
-    sat::ClauseLits All;
-    for (machine::UnitId Un : MT.Units)
-      for (unsigned I = 0; I < K; ++I)
-        All.push_back(LVar(T, Un, I));
-    sat::addAtMostOne(S, All, Opts.AmoStyle);
-  }
-  // Anti-dependence: a load of memory state m may not launch after the
-  // store that overwrites m (i.e., the store whose memory argument is m).
+  for (size_t T = 0; T < Terms.size(); ++T)
+    if (Terms[T].IsStore)
+      Stores.push_back(static_cast<uint32_t>(T));
   for (size_t TL = 0; TL < Terms.size(); ++TL) {
     if (!Terms[TL].IsLoad)
       continue;
-    tag(makeClauseTag(ClauseFamily::Memory, ~0u, ~0u,
-                      static_cast<uint32_t>(TL)));
-    ClassId Mem = Terms[TL].Args[0];
-    for (size_t TS = 0; TS < Terms.size(); ++TS) {
-      if (!Terms[TS].IsStore || G.find(Terms[TS].Args[0]) != G.find(Mem))
-        continue;
-      for (machine::UnitId UL : Terms[TL].Units)
-        for (machine::UnitId US : Terms[TS].Units)
-          for (unsigned IL = 0; IL < K; ++IL)
-            for (unsigned IS = 0; IS < IL; ++IS)
-              S.addClause(~LVar(TL, UL, IL), ~LVar(TS, US, IS));
+    ClassId Mem = G.find(Terms[TL].Args[0]);
+    for (size_t SIdx = 0; SIdx < Stores.size(); ++SIdx)
+      if (G.find(Terms[Stores[SIdx]].Args[0]) == Mem)
+        AntiDeps.push_back(AntiDependence{static_cast<uint32_t>(TL),
+                                          static_cast<uint32_t>(SIdx)});
+  }
+  StoreLaunched.assign(Stores.size(), -1);
+  ExceedVars.push_back(-1); // E_0 does not exist.
+}
+
+void Encoder::addLayer(EncodingStats &Stats) {
+  const unsigned I = Layers;
+  const std::vector<MachineTerm> &Terms = U.terms();
+  const size_t NT = Terms.size();
+
+  // --- Variables of cycle I. ------------------------------------------------
+  LVars.resize(LVars.size() + NT * NumUnits, -1);
+  for (size_t T = 0; T < NT; ++T)
+    for (machine::UnitId Un : Terms[T].Units)
+      LVars[(I * NT + T) * NumUnits + Un] = S.newVar();
+  for (size_t N = RowClass.size() * NumClusters; N > 0; --N)
+    BVars.push_back(S.newVar());
+  ++Layers;
+  ++Stats.Layers;
+
+  auto launch = [&](uint32_t T, machine::UnitId Un, unsigned Cycle) {
+    sat::Var V = lVar(T, Un, Cycle);
+    assert(V >= 0 && "missing L variable");
+    return Lit::pos(V);
+  };
+  // Per-family clause attribution: the solver's clause count sampled at
+  // each constraint-block boundary.
+  uint64_t Mark = S.numClauses();
+  auto charge = [&](uint64_t &Into) {
+    Into += S.numClauses() - Mark;
+    Mark = S.numClauses();
+  };
+  sat::ClauseLits Clause;
+
+  // --- Condition 3 (+1): B(q,c,I) holds iff some member completed by I. ---
+  for (uint32_t R = 0; R < RowClass.size(); ++R) {
+    for (unsigned C = 0; C < NumClusters; ++C) {
+      tag(ClauseFamily::Definition, I, ~0u, G.find(RowClass[R]));
+      Lit B = bLit(R, C, I);
+      Clause.assign(1, ~B);
+      if (I > 0) {
+        Lit Prev = bLit(R, C, I - 1);
+        Clause.push_back(Prev);
+        S.addClause(~Prev, B); // Monotonic.
+      }
+      const size_t Group = size_t(R) * NumClusters + C;
+      for (uint32_t Idx = LinksBegin[Group]; Idx < LinksBegin[Group + 1];
+           ++Idx) {
+        const ProducerLink &Link = Links[Idx];
+        if (Link.Offset > I)
+          continue; // Launched before cycle 0.
+        Lit L = launch(Link.Term, Link.Unit, I - Link.Offset);
+        Clause.push_back(L);
+        S.addClause(~L, B);
+      }
+      S.addClause(Clause);
     }
   }
-  takeFamily(Stats.MemoryClauses);
+  charge(Stats.DefinitionClauses);
 
-  // --- Monotone budget ladder (incremental search). -------------------------
-  // One activation literal per budget B: E_B means "some launch at cycle
-  // >= B". Solving under the assumption ¬E_B therefore (a) forbids every
-  // launch at cycle B or later (via the chain E_{B+1} -> E_B and the
-  // per-launch clauses L(t,u,i) -> E_i), and (b) activates the budget-B
-  // goal deadline (E_B ∨ ⋁_c B(goal, c, B-1)). Restricted to cycles < B
-  // the constraint set is exactly the fresh budget-B encoding, so each
-  // probe keeps the paper's SAT/UNSAT evidence while one solver carries
-  // learnt clauses across the whole ladder.
-  ExceedVars.clear();
-  if (Opts.Monotone) {
-    ExceedVars.assign(K + 1, -1);
-    for (unsigned B = 1; B <= K; ++B)
-      ExceedVars[B] = S.newVar();
-    tag(makeClauseTag(ClauseFamily::Monotone));
-    for (unsigned B = 1; B < K; ++B)
-      S.addClause(Lit::neg(ExceedVars[B + 1]), Lit::pos(ExceedVars[B]));
-    for (size_t T = 0; T < Terms.size(); ++T)
-      for (machine::UnitId Un : Terms[T].Units)
-        for (unsigned I = 1; I < K; ++I) {
-          tag(makeClauseTag(ClauseFamily::Monotone, I, Un,
-                            static_cast<uint32_t>(T)));
-          S.addClause(~LVar(T, Un, I), Lit::pos(ExceedVars[I]));
-        }
-    for (unsigned B = 1; B <= K; ++B) {
-      for (size_t GIdx = 0; GIdx < Goals.size(); ++GIdx) {
-        const NamedGoal &Goal = Goals[GIdx];
-        ClassId Q = G.find(Goal.Class);
-        if (U.isFree(Q))
-          continue;
-        // The gated deadline is the budget-B form of the Deadline family.
-        tag(makeClauseTag(ClauseFamily::Deadline, B - 1, ~0u,
-                          static_cast<uint32_t>(GIdx)));
-        sat::ClauseLits Clause{Lit::pos(ExceedVars[B])};
-        for (unsigned C = 0; C < NC; ++C)
-          Clause.push_back(BVar(Q, C, B - 1));
+  // --- Condition 2: operands available before launch. ---------------------
+  for (size_t T = 0; T < NT; ++T) {
+    for (uint32_t Row : OperandRows[T]) {
+      for (machine::UnitId Un : Terms[T].Units) {
+        tag(ClauseFamily::Operand, I, Un, static_cast<uint32_t>(T));
+        Lit L = launch(static_cast<uint32_t>(T), Un, I);
+        if (I == 0)
+          S.addClause(~L); // No cycle -1 to have computed the operand in.
+        else
+          S.addClause(~L, bLit(Row, clusterOfUnit(Un), I - 1));
+      }
+    }
+  }
+  charge(Stats.OperandClauses);
+
+  // --- Condition 4: issue exclusivity per (cycle, unit). ------------------
+  for (unsigned UIdx = 0; UIdx < NumUnits; ++UIdx) {
+    tag(ClauseFamily::Exclusivity, I, UIdx, 0);
+    Clause.clear();
+    for (size_t T = 0; T < NT; ++T) {
+      sat::Var V = lVar(static_cast<uint32_t>(T), UIdx, I);
+      if (V >= 0)
+        Clause.push_back(Lit::pos(V));
+    }
+    sat::addAtMostOne(S, Clause, Opts.AmoStyle);
+  }
+  charge(Stats.ExclusivityClauses);
+
+  // --- Section 7: guard before unsafe (memory) operations. -----------------
+  if (GuardRow >= 0) {
+    for (size_t T = 0; T < NT; ++T) {
+      const MachineTerm &MT = Terms[T];
+      if (!MT.IsLoad && !MT.IsStore)
+        continue;
+      for (machine::UnitId Un : MT.Units) {
+        tag(ClauseFamily::Guard, I, Un, static_cast<uint32_t>(T));
+        Lit L = launch(static_cast<uint32_t>(T), Un, I);
+        Clause.assign(1, ~L);
+        if (I > 0)
+          for (unsigned C = 0; C < NumClusters; ++C)
+            Clause.push_back(bLit(static_cast<uint32_t>(GuardRow), C, I - 1));
         S.addClause(Clause);
       }
     }
   }
-  tag(0);
+  charge(Stats.GuardClauses);
 
-  takeFamily(Stats.MonotoneClauses);
+  // --- Memory discipline. ---------------------------------------------------
+  // Anti-dependence: a load of memory state m may not launch after the
+  // store that overwrites m (the store whose memory argument is m), so a
+  // launch of that store before cycle I excludes the load at I.
+  for (const AntiDependence &D : AntiDeps) {
+    sat::Var Before = StoreLaunched[D.Store];
+    if (Before < 0)
+      continue;
+    tag(ClauseFamily::Memory, I, ~0u, D.Load);
+    for (machine::UnitId UL : Terms[D.Load].Units)
+      S.addClause(~launch(D.Load, UL, I), Lit::neg(Before));
+  }
+  // Each store launches at most once (a replayed store could overwrite a
+  // later store to the same unprovably-distinct address): at most one of
+  // its launches at I and "launched before I", which then extends to I.
+  for (size_t SIdx = 0; SIdx < Stores.size(); ++SIdx) {
+    const uint32_t T = Stores[SIdx];
+    tag(ClauseFamily::Memory, I, ~0u, T);
+    sat::Var Before = StoreLaunched[SIdx];
+    Clause.clear();
+    for (machine::UnitId Un : Terms[T].Units)
+      Clause.push_back(launch(T, Un, I));
+    const size_t Launches = Clause.size();
+    if (Before >= 0)
+      Clause.push_back(Lit::pos(Before));
+    sat::addAtMostOne(S, Clause, Opts.AmoStyle);
+    sat::Var Now = S.newVar();
+    for (size_t J = 0; J < Launches; ++J)
+      S.addClause(~Clause[J], Lit::pos(Now));
+    if (Before >= 0)
+      S.addClause(Lit::neg(Before), Lit::pos(Now));
+    StoreLaunched[SIdx] = Now;
+  }
+  charge(Stats.MemoryClauses);
 
+  // --- Budget gates. ---------------------------------------------------------
+  // A launch at I finishes at I + latency, and a budget-K program has every
+  // instruction, used or not, finished by K: the launch implies
+  // E_{I+latency-1}. Solving under ¬E_K thus forbids every launch at cycle
+  // K or later and every launch still running at K, and activates the
+  // budget-K deadline (addDeadline).
+  for (size_t T = 0; T < NT; ++T) {
+    const unsigned Budget = I + Terms[T].Latency - 1;
+    if (Budget == 0)
+      continue; // Finished by the end of cycle 0: fits every budget.
+    for (machine::UnitId Un : Terms[T].Units) {
+      Lit Overrun = exceed(Budget);
+      tag(ClauseFamily::Gating, I, Un, static_cast<uint32_t>(T));
+      S.addClause(~launch(static_cast<uint32_t>(T), Un, I), Overrun);
+    }
+  }
+  charge(Stats.GatingClauses);
+}
+
+Lit Encoder::exceed(unsigned K) {
+  // E_{N+1} -> E_N: a program that overruns budget N+1 overruns budget N.
+  while (ExceedVars.size() <= K) {
+    const unsigned N = static_cast<unsigned>(ExceedVars.size());
+    ExceedVars.push_back(S.newVar());
+    if (N >= 2) {
+      tag(ClauseFamily::Gating, ~0u, ~0u, N);
+      S.addClause(Lit::neg(ExceedVars[N]), Lit::pos(ExceedVars[N - 1]));
+    }
+  }
+  return Lit::pos(ExceedVars[K]);
+}
+
+void Encoder::addDeadline(unsigned K, EncodingStats &Stats) {
+  uint64_t Mark = S.numClauses();
+  const Lit Overrun = exceed(K);
+  Stats.GatingClauses += S.numClauses() - Mark;
+  Mark = S.numClauses();
+  // --- Condition 5: goals computed within K cycles, unless E_K. -----------
+  sat::ClauseLits Clause;
+  for (size_t GIdx = 0; GIdx < Goals.size(); ++GIdx) {
+    if (GoalRows[GIdx] < 0)
+      continue; // A free goal is available at cycle 0.
+    tag(ClauseFamily::Deadline, K - 1, ~0u, static_cast<uint32_t>(GIdx));
+    Clause.assign(1, Overrun);
+    for (unsigned C = 0; C < NumClusters; ++C)
+      Clause.push_back(bLit(static_cast<uint32_t>(GoalRows[GIdx]), C, K - 1));
+    S.addClause(Clause);
+  }
+  Stats.DeadlineClauses += S.numClauses() - Mark;
+}
+
+EncodingStats Encoder::prepareBudget(unsigned K) {
+  assert(K >= 1 && "a budget of 0 cycles has no deadline cycle");
+  obs::ObsSpan Span("encode");
+  EncodingStats Stats;
   Stats.Cycles = K;
-  Stats.Vars = S.numVars();
-  Stats.Clauses = S.numClauses();
-  Stats.MachineTerms = Terms.size();
+  Stats.MachineTerms = U.terms().size();
   Stats.Classes = U.neededClasses().size();
+  const int VarsAtStart = S.numVars();
+  const uint64_t ClausesAtStart = S.numClauses();
+  while (Layers < K)
+    addLayer(Stats);
+  if (DeadlineAdded.size() <= K)
+    DeadlineAdded.resize(K + 1, false);
+  if (!DeadlineAdded[K]) {
+    addDeadline(K, Stats);
+    DeadlineAdded[K] = true;
+  }
+  if (Opts.TagClauses)
+    S.setClauseTag(0);
+  Stats.Vars = S.numVars() - VarsAtStart;
+  Stats.Clauses = S.numClauses() - ClausesAtStart;
+
   if (obs::enabled()) {
     if (Span.active())
       Span.arg("cycles", Stats.Cycles)
+          .arg("layers", Stats.Layers)
           .arg("vars", Stats.Vars)
           .arg("clauses", Stats.Clauses)
           .arg("terms", static_cast<uint64_t>(Stats.MachineTerms))
-          .arg("classes", static_cast<uint64_t>(Stats.Classes))
-          .arg("monotone", Opts.Monotone ? "yes" : "no");
+          .arg("classes", static_cast<uint64_t>(Stats.Classes));
     auto &R = obs::Registry::global();
     R.counter("encode.runs").add(1);
     R.counter("encode.vars").add(static_cast<uint64_t>(Stats.Vars));
-    R.counter("encode.clauses").add(Stats.Clauses - ClausesAtStart);
+    R.counter("encode.clauses").add(Stats.Clauses);
     R.counter("encode.clauses.definition").add(Stats.DefinitionClauses);
     R.counter("encode.clauses.operand").add(Stats.OperandClauses);
     R.counter("encode.clauses.exclusivity").add(Stats.ExclusivityClauses);
     R.counter("encode.clauses.deadline").add(Stats.DeadlineClauses);
     R.counter("encode.clauses.guard").add(Stats.GuardClauses);
     R.counter("encode.clauses.memory").add(Stats.MemoryClauses);
-    R.counter("encode.clauses.monotone").add(Stats.MonotoneClauses);
+    R.counter("encode.clauses.gating").add(Stats.GatingClauses);
   }
   return Stats;
 }
 
 sat::Lit Encoder::budgetAssumption(unsigned K) const {
-  assert(K >= 1 && K < ExceedVars.size() && ExceedVars[K] >= 0 &&
-         "budget outside the monotone encode's range");
+  assert(K >= 1 && K < DeadlineAdded.size() && DeadlineAdded[K] &&
+         "budget was never prepared");
   return Lit::neg(ExceedVars[K]);
 }
 
-machine::Program Encoder::extract(const Solver &S,
-                                  const std::vector<NamedGoal> &Goals,
-                                  const EncoderOptions &Opts,
+machine::Program Encoder::extract(unsigned K,
                                   const std::string &Name) const {
   const std::vector<MachineTerm> &Terms = U.terms();
   machine::Program P;
   P.Name = Name;
-  P.Cycles = Opts.Cycles;
+  P.Cycles = K;
   P.Model = &M;
 
   uint32_t NextReg = 0;
@@ -366,15 +379,14 @@ machine::Program Encoder::extract(const Solver &S,
     unsigned Cycle;
     uint32_t VReg;
   };
-  // Dense scan in (term, unit, cycle) order — the same deterministic order
-  // the old tree-map iteration produced. In monotone mode launches beyond
-  // the SAT budget are false in the model (forced by the assumption), so
-  // scanning all encoded cycles is still exact.
+  // Dense scan in (term, unit, cycle) order. Launches at cycle K or later
+  // are false in the model (the budget assumption forbids them).
   std::vector<Launch> Launches;
+  const unsigned Cycles = std::min(K, Layers);
   for (size_t T = 0; T < Terms.size(); ++T) {
     for (unsigned UIdx = 0; UIdx < NumUnits; ++UIdx) {
-      for (unsigned I = 0; I < LastCycles; ++I) {
-        sat::Var V = LDense[lIndex(T, UIdx, I)];
+      for (unsigned I = 0; I < Cycles; ++I) {
+        sat::Var V = lVar(static_cast<uint32_t>(T), UIdx, I);
         if (V < 0 || !S.modelValue(V))
           continue;
         Launches.push_back(
@@ -395,7 +407,7 @@ machine::Program Encoder::extract(const Solver &S,
       if (G.find(MT.Class) != Q)
         continue;
       unsigned XD = (Opts.SingleCluster || MT.IsStore ||
-                     clusterOfUnit(L.Un, Opts) == C)
+                     clusterOfUnit(L.Un) == C)
                         ? 0
                         : M.crossClusterDelay();
       unsigned Ready = L.Cycle + MT.Latency + XD;
@@ -443,8 +455,7 @@ machine::Program Encoder::extract(const Solver &S,
           I.Srcs.push_back(machine::Operand::imm(*KConst));
           continue;
         }
-        const Launch *Prod =
-            findProducer(A, clusterOfUnit(L.Un, Opts), L.Cycle);
+        const Launch *Prod = findProducer(A, clusterOfUnit(L.Un), L.Cycle);
         if (!Prod)
           reportFatalError(strFormat(
               "extraction: no producer for class c%u needed by '%s' at "
@@ -473,8 +484,8 @@ machine::Program Encoder::extract(const Solver &S,
     }
     const Launch *Best = nullptr;
     unsigned BestReady = ~0u;
-    for (unsigned C = 0; C < numClusters(Opts); ++C) {
-      const Launch *L = findProducer(Q, C, Opts.Cycles);
+    for (unsigned C = 0; C < NumClusters; ++C) {
+      const Launch *L = findProducer(Q, C, K);
       if (!L)
         continue;
       unsigned Ready = L->Cycle + Terms[L->Term].Latency;

@@ -22,6 +22,14 @@
 /// ordering, and memory discipline (loads of a memory state may not follow
 /// the store that overwrites it; each store launches at most once).
 ///
+/// The constraints are emitted one cycle layer at a time. The clauses of
+/// layer I mention only cycles <= I, so a layer is final once added, and
+/// one solver serves a whole budget ladder: probing budget K appends the
+/// layers still missing below K plus a budget-K deadline gated by E_K
+/// ("some instruction finishes after cycle K"), then solves under the
+/// assumption ¬E_K. A fresh solver given the same calls is the per-K
+/// reference instance.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DENALI_CODEGEN_ENCODER_H
@@ -38,9 +46,8 @@
 namespace denali {
 namespace codegen {
 
-/// Options of one encoding run.
+/// Options of one encoder; fixed for the lifetime of its ladder.
 struct EncoderOptions {
-  unsigned Cycles = 4; ///< The budget K (the ceiling MaxCycles if Monotone).
   sat::AtMostOneStyle AmoStyle = sat::AtMostOneStyle::Ladder;
   /// Ablation: model a single cluster (no cross-cluster delay, B indexed
   /// by one cluster).
@@ -48,12 +55,6 @@ struct EncoderOptions {
   /// If set, loads and stores may only launch after this class (the GMA
   /// guard) has been computed.
   std::optional<egraph::ClassId> GuardClass;
-  /// Monotone mode: encode once up to Cycles with one activation literal
-  /// per budget K in [1, Cycles] (see budgetAssumption), so a single
-  /// incremental solver serves the whole probe ladder. Without an
-  /// assumption the instance is trivially satisfiable (every budget
-  /// deadline is gated), so it only makes sense with solve(assumptions).
-  bool Monotone = false;
   /// Refutation attribution: stamp every emitted clause with a ClauseFamily
   /// tag (Solver::setClauseTag) so an UNSAT core can be folded into a
   /// bottleneck report. Off by default — only dedicated explain probes pay
@@ -71,51 +72,71 @@ enum class ClauseFamily : uint32_t {
   Deadline = 4,    ///< Condition 5: goal deadlines.
   Guard = 5,       ///< Section 7: guard-before-unsafe.
   Memory = 6,      ///< Section 7: memory discipline.
-  Monotone = 7,    ///< Budget-ladder activation clauses.
+  Gating = 7,      ///< The E_K budget gates: chain and launch clauses.
 };
+
+/// What a clause-tag field decodes to when its value did not fit.
+constexpr unsigned TagUnknown = ~0u;
 
 /// Packs a clause tag: family in bits 28-31, cycle+1 in bits 20-27 (0 =
 /// not cycle-specific), unit index+1 in bits 16-19 (0 = not unit-specific),
-/// and a 16-bit family-specific detail (term index, truncated class id, or
-/// goal index). Nonzero whenever the family is.
+/// and a 16-bit family-specific detail (term index, class id, or goal
+/// index). A value too large for its field stores the field's all-ones
+/// pattern, which decodes as TagUnknown instead of wrapping onto another
+/// cycle, unit, or term. Nonzero whenever the family is.
 inline uint32_t makeClauseTag(ClauseFamily F, unsigned Cycle = ~0u,
                               unsigned UnitIdx = ~0u, uint32_t Detail = 0) {
+  auto fit = [](uint64_t V, uint32_t Mask) {
+    return V < Mask ? static_cast<uint32_t>(V) : Mask;
+  };
   uint32_t T = static_cast<uint32_t>(F) << 28;
   if (Cycle != ~0u)
-    T |= ((Cycle + 1) & 0xffu) << 20;
+    T |= fit(uint64_t(Cycle) + 1, 0xffu) << 20;
   if (UnitIdx != ~0u)
-    T |= ((UnitIdx + 1) & 0xfu) << 16;
-  return T | (Detail & 0xffffu);
+    T |= fit(uint64_t(UnitIdx) + 1, 0xfu) << 16;
+  return T | fit(Detail, 0xffffu);
 }
 inline ClauseFamily tagFamily(uint32_t T) {
   return static_cast<ClauseFamily>(T >> 28);
 }
 inline bool tagHasCycle(uint32_t T) { return ((T >> 20) & 0xffu) != 0; }
-inline unsigned tagCycle(uint32_t T) { return ((T >> 20) & 0xffu) - 1; }
 inline bool tagHasUnit(uint32_t T) { return ((T >> 16) & 0xfu) != 0; }
-inline unsigned tagUnit(uint32_t T) { return ((T >> 16) & 0xfu) - 1; }
-inline uint32_t tagDetail(uint32_t T) { return T & 0xffffu; }
+// The decoders return TagUnknown for a field that did not fit.
+inline unsigned tagCycle(uint32_t T) {
+  uint32_t F = (T >> 20) & 0xffu;
+  return F == 0xffu ? TagUnknown : F - 1;
+}
+inline unsigned tagUnit(uint32_t T) {
+  uint32_t F = (T >> 16) & 0xfu;
+  return F == 0xfu ? TagUnknown : F - 1;
+}
+inline unsigned tagDetail(uint32_t T) {
+  uint32_t F = T & 0xffffu;
+  return F == 0xffffu ? TagUnknown : F;
+}
 
 /// Human-readable family name ("operand", "exclusivity", ...).
 const char *clauseFamilyName(ClauseFamily F);
 
-/// Size statistics of one encoding (reported like the paper's "1639
-/// variables and 4613 clauses").
+/// Size statistics of what one Encoder::prepareBudget call added to its
+/// solver (for a fresh solver, the whole instance — the paper reports
+/// byteswap4's K=4 instance as "1639 variables and 4613 clauses").
 struct EncodingStats {
-  unsigned Cycles = 0;
+  unsigned Cycles = 0; ///< The budget prepared.
+  unsigned Layers = 0; ///< Cycle layers this call added.
   int Vars = 0;
   uint64_t Clauses = 0;
   size_t MachineTerms = 0;
   size_t Classes = 0;
   // Per-family clause counts (they sum to Clauses): the paper's five
-  // conditions plus the section-7 extensions and the monotone ladder.
+  // conditions plus the section-7 extensions and the budget gates.
   uint64_t DefinitionClauses = 0;  ///< Condition 3: B iff-definitions.
   uint64_t OperandClauses = 0;     ///< Condition 2: operands before launch.
   uint64_t ExclusivityClauses = 0; ///< Condition 4: issue exclusivity.
   uint64_t DeadlineClauses = 0;    ///< Condition 5: goal deadlines.
   uint64_t GuardClauses = 0;       ///< Section 7: guard-before-unsafe.
   uint64_t MemoryClauses = 0;      ///< Section 7: memory discipline.
-  uint64_t MonotoneClauses = 0;    ///< Budget-ladder activation clauses.
+  uint64_t GatingClauses = 0;      ///< E_K chain and launch gates.
 };
 
 /// A named goal: GMA target name -> class to compute.
@@ -125,68 +146,109 @@ struct NamedGoal {
   bool IsMemory = false;
 };
 
-/// Encodes the universe into a solver and decodes models into programs.
-/// One Encoder instance serves many probes (one encode per fresh Solver).
+/// Encodes the universe into one solver, a cycle layer at a time, and
+/// decodes its models into programs.
+///
+/// Layer I holds the launch variables L(*, *, I) and the availability
+/// variables B(*, *, I), with the clauses of every family that constrain
+/// cycle I: definitions of B(*, *, I), operands and guard of the launches
+/// at I, issue exclusivity at I, the memory discipline of the launches at I
+/// against earlier cycles, and the gates L(t, u, I) -> E_{I+latency-1}.
+/// The budget literals E_1, E_2, ... form one chain E_{N+1} -> E_N, created
+/// as far as the gates and deadlines need. Under ¬E_K no instruction
+/// finishes after cycle K, so every launch at cycle >= K is false, and the
+/// constraints restricted to cycles < K are exactly the budget-K encoding,
+/// whatever layers beyond K the solver already holds.
 class Encoder {
 public:
   Encoder(const egraph::EGraph &G, const machine::MachineModel &M,
-          const Universe &U)
-      : G(G), M(M), U(U) {
-    NumUnits = M.numUnits();
-  }
+          const Universe &U, const std::vector<NamedGoal> &Goals,
+          const EncoderOptions &Opts, sat::Solver &S);
 
-  /// Emits the constraints for \p Opts into \p S.
-  EncodingStats encode(sat::Solver &S, const std::vector<NamedGoal> &Goals,
-                       const EncoderOptions &Opts);
+  /// Makes budget \p K (>= 1) ready to solve: appends the cycle layers
+  /// still missing below K and the gated budget-K deadline. \returns what
+  /// this call added (nothing when K was prepared before).
+  EncodingStats prepareBudget(unsigned K);
 
-  /// After encode() and a Sat solve() on the same solver: reads the
-  /// schedule off the model (the L's assigned true determine the machine
-  /// program, section 6) and wires operands into a Program. In monotone
-  /// mode pass Opts.Cycles = the SAT budget K (the model was produced
-  /// under budgetAssumption(K), so no launch at a later cycle is true).
-  machine::Program extract(const sat::Solver &S,
-                           const std::vector<NamedGoal> &Goals,
-                           const EncoderOptions &Opts,
-                           const std::string &Name) const;
-
-  /// After a Monotone encode(): the assumption literal meaning "no program
-  /// longer than \p K cycles" (¬E_K — it forbids every launch at cycle
-  /// >= K and activates the budget-K goal deadline). Valid for K in
-  /// [1, Cycles of the encode].
+  /// The assumption meaning "no program longer than \p K cycles" (¬E_K: it
+  /// forbids every instruction finishing after cycle K and activates the
+  /// budget-K deadline). Valid after prepareBudget(K).
   sat::Lit budgetAssumption(unsigned K) const;
 
+  /// Cycle layers on the solver so far.
+  unsigned layers() const { return Layers; }
+
+  /// After a Sat solve() under budgetAssumption(\p K): reads the schedule
+  /// off the model (the L's assigned true determine the machine program,
+  /// section 6) and wires operands into a K-cycle Program.
+  machine::Program extract(unsigned K, const std::string &Name) const;
+
 private:
+  /// One producer of a class: launching Term on Unit completes on the
+  /// cluster in question Offset cycles after its launch cycle.
+  struct ProducerLink {
+    uint32_t Term;
+    machine::UnitId Unit;
+    unsigned Offset;
+  };
+  /// A load that may not launch after the store overwriting its memory
+  /// (Store indexes Stores).
+  struct AntiDependence {
+    uint32_t Load, Store;
+  };
+
   const egraph::EGraph &G;
   const machine::MachineModel &M;
   const Universe &U;
+  const std::vector<NamedGoal> Goals;
+  const EncoderOptions Opts;
+  sat::Solver &S;
+  const unsigned NumUnits;
+  const unsigned NumClusters;
 
-  // Variable maps of the most recent encode(). Dense per-key vectors (L:
-  // term x unit x cycle; B: needed-class row x cluster x cycle) — these
-  // lookups are the hot path of every encode, and tree maps were measurable
-  // there. -1 marks an absent variable.
-  std::vector<sat::Var> LDense;
-  std::vector<sat::Var> BDense;
-  std::unordered_map<egraph::ClassId, uint32_t> BClassRow;
-  unsigned LastCycles = 0;   ///< K of the most recent encode.
-  unsigned LastClusters = 0; ///< NC of the most recent encode.
-  unsigned NumUnits = 0;     ///< The machine's unit count (fixed per model).
-  /// Monotone mode: E_K ("some launch at cycle >= K") per budget K; index
-  /// 0 unused.
+  // Universe facts, resolved once so that no layer does a class lookup.
+  // A row is one distinct needed class (the B variables' first index).
+  std::vector<egraph::ClassId> RowClass;
+  std::vector<ProducerLink> Links;    ///< Grouped by (row, cluster).
+  std::vector<uint32_t> LinksBegin;   ///< (row, cluster) -> first link.
+  std::vector<std::vector<uint32_t>> OperandRows; ///< Per term.
+  std::vector<int32_t> GoalRows;      ///< Per goal; -1 = free goal.
+  int32_t GuardRow = -1;
+  std::vector<uint32_t> Stores;
+  std::vector<AntiDependence> AntiDeps;
+
+  // Variables, layer-major so that a layer appends one block: L is
+  // (cycle, term, unit), B is (cycle, row, cluster); -1 marks an absent
+  // launch. E_K is ExceedVars[K] (index 0 unused; see exceed()).
+  unsigned Layers = 0;
+  std::vector<sat::Var> LVars;
+  std::vector<sat::Var> BVars;
   std::vector<sat::Var> ExceedVars;
+  /// Per store: "launched at some cycle < Layers" (-1 before layer 0).
+  std::vector<sat::Var> StoreLaunched;
+  std::vector<bool> DeadlineAdded; ///< Indexed by budget.
 
-  size_t lIndex(size_t Term, unsigned UnitIdx, unsigned Cycle) const {
-    return (Term * NumUnits + UnitIdx) * LastCycles + Cycle;
+  sat::Var lVar(uint32_t Term, unsigned Unit, unsigned Cycle) const {
+    return LVars[(size_t(Cycle) * U.terms().size() + Term) * NumUnits +
+                 Unit];
   }
-  size_t bIndex(uint32_t Row, unsigned Cluster, unsigned Cycle) const {
-    return (Row * LastClusters + Cluster) * LastCycles + Cycle;
+  sat::Lit bLit(uint32_t Row, unsigned Cluster, unsigned Cycle) const {
+    return sat::Lit::pos(
+        BVars[(size_t(Cycle) * RowClass.size() + Row) * NumClusters +
+              Cluster]);
   }
-
-  unsigned numClusters(const EncoderOptions &Opts) const {
-    return Opts.SingleCluster ? 1 : M.numClusters();
-  }
-  unsigned clusterOfUnit(machine::UnitId Un, const EncoderOptions &Opts) const {
+  unsigned clusterOfUnit(machine::UnitId Un) const {
     return Opts.SingleCluster ? 0 : M.clusterOf(Un);
   }
+  void tag(ClauseFamily F, unsigned Cycle, unsigned Unit, uint32_t Detail) {
+    if (Opts.TagClauses)
+      S.setClauseTag(makeClauseTag(F, Cycle, Unit, Detail));
+  }
+
+  void addLayer(EncodingStats &Stats);
+  void addDeadline(unsigned K, EncodingStats &Stats);
+  /// E_K, creating the chain up to it.
+  sat::Lit exceed(unsigned K);
 };
 
 } // namespace codegen

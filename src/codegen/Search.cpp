@@ -36,9 +36,7 @@ const char *probeResultName(const Probe &P) {
 }
 
 /// Flushes one finished probe into the registry: per-outcome probe counts
-/// and the solver-effort deltas it spent (absolute stats for a fresh
-/// per-probe solver, per-call deltas under the incremental solver — the
-/// Probe fields already carry the right variant).
+/// and the solver-effort deltas it spent.
 void noteProbe(const Probe &P) {
   if (!obs::enabled())
     return;
@@ -72,47 +70,66 @@ void dumpProbeCnf(const SearchOptions &Opts, const std::string &Name,
   }
 }
 
-/// Runs one probe at budget K; on Sat, fills \p ProgramOut. With a nonnull
-/// \p CancelFlag the solver winds down cooperatively once it reads true,
-/// and the probe is marked Cancelled instead of producing evidence.
-Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
-               const SearchOptions &Opts, unsigned K,
-               std::optional<machine::Program> &ProgramOut,
-               const std::string &Name,
-               const std::atomic<bool> *CancelFlag = nullptr) {
+/// One solver and the encoder that extends it. Linear and binary search
+/// keep one for the whole compile; a fresh one per probe is the per-K
+/// reference instance (portfolio probes, the why-unsat probe).
+struct Ladder {
+  sat::Solver S;
+  Encoder Enc;
+
+  Ladder(const egraph::EGraph &G, const machine::MachineModel &Isa,
+         const Universe &U, const std::vector<NamedGoal> &Goals,
+         const SearchOptions &Opts)
+      : Enc(G, Isa, U, Goals, Opts.Encoding, S) {
+    if (Opts.ConflictBudget)
+      S.setConflictBudget(Opts.ConflictBudget);
+    if (Opts.CertifyRefutations)
+      S.enableProofLogging();
+    if (!Opts.DumpCnfDir.empty())
+      S.keepAddedClauses();
+  }
+};
+
+/// Probes budget K on \p L: adds what the ladder lacks for K, then solves
+/// under ¬E_K. On Sat, fills \p ProgramOut; a Cancelled probe (the
+/// solver's interrupt fired) produces no evidence.
+Probe probeBudget(Ladder &L, const SearchOptions &Opts, unsigned K,
+                  std::optional<machine::Program> &ProgramOut,
+                  const std::string &Name) {
   obs::ObsSpan Span("search.probe");
+  sat::Solver &S = L.S;
   Probe P;
   P.Cycles = K;
   P.Worker = support::ThreadPool::currentWorkerId();
-  sat::Solver S;
-  if (Opts.ConflictBudget)
-    S.setConflictBudget(Opts.ConflictBudget);
-  if (CancelFlag)
-    S.setInterrupt(CancelFlag);
-  if (Opts.CertifyRefutations)
-    S.enableProofLogging();
-  EncoderOptions EncOpts = Opts.Encoding;
-  EncOpts.Cycles = K;
   Timer T;
-  P.Stats = Enc.encode(S, Goals, EncOpts);
+  P.Stats = L.Enc.prepareBudget(K);
   P.EncodeSeconds = T.seconds();
-  if (!Opts.DumpCnfDir.empty()) {
+  const sat::Lit Assumption = L.Enc.budgetAssumption(K);
+  // The probe's formula: the clauses as added plus the assumption as a
+  // unit, which is what a dump shows and a certificate is checked against.
+  auto probeFormula = [&] {
     sat::Cnf F;
     F.NumVars = S.numVars();
     F.Clauses = S.problemClauses();
-    dumpProbeCnf(Opts, Name, K, F);
-  }
+    F.Clauses.push_back(sat::ClauseLits{Assumption});
+    return F;
+  };
+  if (!Opts.DumpCnfDir.empty())
+    dumpProbeCnf(Opts, Name, K, probeFormula());
+  const sat::SolverStats Before = S.stats();
   T.reset();
-  P.Result = S.solve();
+  P.Result = S.solve({Assumption});
   P.SolveSeconds = T.seconds();
-  P.Conflicts = S.stats().Conflicts;
-  P.Decisions = S.stats().Decisions;
-  P.Propagations = S.stats().Propagations;
-  P.Restarts = S.stats().Restarts;
-  P.LearntClauses = S.stats().LearntClauses;
+  P.Conflicts = S.stats().Conflicts - Before.Conflicts;
+  P.Decisions = S.stats().Decisions - Before.Decisions;
+  P.Propagations = S.stats().Propagations - Before.Propagations;
+  P.Restarts = S.stats().Restarts - Before.Restarts;
+  P.LearntClauses = S.stats().LearntClauses - Before.LearntClauses;
   P.Cancelled = S.interrupted();
   if (P.Cancelled)
     P.ConflictsAfterCancel = S.conflictsAfterInterrupt();
+  if (P.Result == SolveResult::Unsat)
+    P.FailedAssumptions = S.conflict().size();
   if (Span.active())
     Span.arg("k", K)
         .arg("result", probeResultName(P))
@@ -121,16 +138,20 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
         .arg("clauses", P.Stats.Clauses)
         .arg("conflicts", P.Conflicts)
         .arg("decisions", P.Decisions)
-        .arg("restarts", P.Restarts);
+        .arg("restarts", P.Restarts)
+        .arg("failed_assumptions",
+             static_cast<uint64_t>(P.FailedAssumptions));
   if (P.Result == SolveResult::Sat) {
-    ProgramOut = Enc.extract(S, Goals, EncOpts, Name);
+    ProgramOut = L.Enc.extract(K, Name);
   } else if (P.Result == SolveResult::Unsat && Opts.CertifyRefutations) {
+    // The learnt-clause log ends with the final assumption conflict (E_K),
+    // so the empty clause follows by unit propagation from the unit ¬E_K.
     T.reset();
-    sat::Cnf F;
-    F.NumVars = S.numVars();
-    F.Clauses = S.problemClauses();
-    P.ProofSteps = S.proof().size();
-    P.ProofChecked = sat::checkRupProof(F, S.proof());
+    std::vector<sat::ClauseLits> Proof = S.proof();
+    if (Proof.empty() || !Proof.back().empty())
+      Proof.push_back(sat::ClauseLits{});
+    P.ProofSteps = Proof.size();
+    P.ProofChecked = sat::checkRupProof(probeFormula(), Proof);
     P.ProofCheckSeconds = T.seconds();
   }
   return P;
@@ -138,8 +159,7 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
 
 /// Drives the Linear budget ladder through \p ProbeK — a callable probing
 /// one budget (recording the probe in Result) and returning its
-/// SolveResult, with the program filled on Sat. Shared by the fresh-solver
-/// and incremental paths, so both report identical evidence.
+/// SolveResult, with the program filled on Sat.
 template <typename ProbeFn>
 SearchResult &runLinearLadder(SearchResult &Result, const SearchOptions &Opts,
                               ProbeFn &&ProbeK) {
@@ -222,106 +242,6 @@ SearchResult &runBinaryLadder(SearchResult &Result, const SearchOptions &Opts,
   return Result;
 }
 
-/// The incremental budget search: encode once (monotone, up to MaxCycles),
-/// then drive the Linear or Binary ladder with assumption-based probes on
-/// a single long-lived solver. Learnt clauses, VSIDS activities, and saved
-/// phases persist across probes; UNSAT-at-K still means exactly "no
-/// K-cycle program computes the goals" because the assumption ¬E_K
-/// restricts the monotone instance to the fresh budget-K encoding.
-SearchResult searchIncremental(const egraph::EGraph &G, const machine::MachineModel &Isa,
-                               const Universe &U,
-                               const std::vector<NamedGoal> &Goals,
-                               const SearchOptions &Opts,
-                               const std::string &Name, bool Binary) {
-  SearchResult Result;
-  Encoder Enc(G, Isa, U);
-  sat::Solver S;
-  if (Opts.ConflictBudget)
-    S.setConflictBudget(Opts.ConflictBudget);
-  if (Opts.CertifyRefutations)
-    S.enableProofLogging();
-  EncoderOptions EncOpts = Opts.Encoding;
-  EncOpts.Cycles = std::max(Opts.MaxCycles, 1u);
-  EncOpts.Monotone = true;
-  Timer T;
-  EncodingStats EncStats = Enc.encode(S, Goals, EncOpts);
-  double EncodeSeconds = T.seconds();
-  bool FirstProbe = true;
-
-  auto ProbeK = [&](unsigned K, std::optional<machine::Program> &Prog) {
-    obs::ObsSpan Span("search.probe");
-    sat::Lit Assumption = Enc.budgetAssumption(K);
-    Probe P;
-    P.Cycles = K;
-    P.Stats = EncStats;
-    P.Stats.Cycles = K;
-    if (FirstProbe) {
-      P.EncodeSeconds = EncodeSeconds;
-      FirstProbe = false;
-    }
-    if (!Opts.DumpCnfDir.empty()) {
-      // The probe instance is the shared CNF plus the budget assumption
-      // as a unit clause (learnt level-0 facts from earlier probes are
-      // included; they are implied, so the dump stays equisatisfiable
-      // with the fresh budget-K encoding).
-      sat::Cnf F;
-      F.NumVars = S.numVars();
-      F.Clauses = S.problemClauses();
-      F.Clauses.push_back(sat::ClauseLits{Assumption});
-      dumpProbeCnf(Opts, Name, K, F);
-    }
-    const sat::SolverStats Before = S.stats();
-    Timer ProbeTimer;
-    P.Result = S.solve({Assumption});
-    P.SolveSeconds = ProbeTimer.seconds();
-    P.Conflicts = S.stats().Conflicts - Before.Conflicts;
-    P.Decisions = S.stats().Decisions - Before.Decisions;
-    P.Propagations = S.stats().Propagations - Before.Propagations;
-    P.Restarts = S.stats().Restarts - Before.Restarts;
-    P.LearntClauses = S.stats().LearntClauses - Before.LearntClauses;
-    P.Cancelled = S.interrupted();
-    if (P.Cancelled)
-      P.ConflictsAfterCancel = S.conflictsAfterInterrupt();
-    if (P.Result == SolveResult::Unsat)
-      P.FailedAssumptions = S.conflict().size();
-    if (Span.active())
-      Span.arg("k", K)
-          .arg("result", probeResultName(P))
-          .arg("incremental", "yes")
-          .arg("conflicts", P.Conflicts)
-          .arg("decisions", P.Decisions)
-          .arg("failed_assumptions",
-               static_cast<uint64_t>(P.FailedAssumptions));
-    if (P.Result == SolveResult::Sat) {
-      EncoderOptions ExtractOpts = EncOpts;
-      ExtractOpts.Cycles = K;
-      Prog = Enc.extract(S, Goals, ExtractOpts, Name);
-    } else if (P.Result == SolveResult::Unsat && Opts.CertifyRefutations) {
-      // Certificate: against the shared CNF plus the assumption as a unit,
-      // the cumulative learnt-clause log ends with the final assumption
-      // conflict (E_K), so the empty clause follows by unit propagation.
-      ProbeTimer.reset();
-      sat::Cnf F;
-      F.NumVars = S.numVars();
-      F.Clauses = S.problemClauses();
-      F.Clauses.push_back(sat::ClauseLits{Assumption});
-      std::vector<sat::ClauseLits> Proof = S.proof();
-      if (Proof.empty() || !Proof.back().empty())
-        Proof.push_back(sat::ClauseLits{});
-      P.ProofSteps = Proof.size();
-      P.ProofChecked = sat::checkRupProof(F, Proof);
-      P.ProofCheckSeconds = ProbeTimer.seconds();
-    }
-    noteProbe(P);
-    Result.Probes.push_back(std::move(P));
-    return Result.Probes.back().Result;
-  };
-
-  if (Binary)
-    return runBinaryLadder(Result, Opts, ProbeK);
-  return runLinearLadder(Result, Opts, ProbeK);
-}
-
 /// The portfolio outer loop: probes a window of budgets [Base, Base+W)
 /// concurrently, advancing the window only when every budget in it is
 /// proved infeasible — so, like linear search, it accumulates an UNSAT
@@ -384,10 +304,11 @@ SearchResult searchPortfolio(const egraph::EGraph &G, const machine::MachineMode
           P.Worker = support::ThreadPool::currentWorkerId();
           P.Cancelled = true;
         } else {
-          // One Encoder per probe: encode() builds per-run variable maps,
-          // so workers must not share an instance.
-          Encoder Enc(G, Isa, U);
-          P = runProbe(Enc, Goals, Opts, K, Prog, Name, Mine.Cancel.flag());
+          // A fresh per-K instance: workers share nothing but the frozen
+          // graph and the universe.
+          Ladder Fresh(G, Isa, U, Goals, Opts);
+          Fresh.S.setInterrupt(Mine.Cancel.flag());
+          P = probeBudget(Fresh, Opts, K, Prog, Name);
         }
         std::lock_guard<std::mutex> Lock(Mutex);
         Mine.P = std::move(P);
@@ -465,10 +386,10 @@ SearchResult searchPortfolio(const egraph::EGraph &G, const machine::MachineMode
   return Result;
 }
 
-/// The why-unsat explain probe: one dedicated monotone instance at the
-/// budget just below the found minimum, with clause tagging and core
-/// tracking on. Runs after any strategy's ladder, so the report is uniform
-/// and the per-strategy probe evidence stays untouched.
+/// The why-unsat explain probe: a fresh per-K instance at the budget just
+/// below the found minimum, with clause tagging and core tracking on. Runs
+/// after any strategy's ladder, so the report is uniform and the
+/// per-strategy probe evidence stays untouched.
 void runExplainProbe(const egraph::EGraph &G, const machine::MachineModel &Isa,
                      const Universe &U, const std::vector<NamedGoal> &Goals,
                      const SearchOptions &Opts, SearchResult &Result) {
@@ -476,18 +397,15 @@ void runExplainProbe(const egraph::EGraph &G, const machine::MachineModel &Isa,
     return;
   const unsigned K = Result.Cycles - 1;
   obs::ObsSpan Span("search.explain_probe");
-  Encoder Enc(G, Isa, U);
-  sat::Solver S;
-  S.enableCoreTracking();
-  if (Opts.ConflictBudget)
-    S.setConflictBudget(Opts.ConflictBudget);
-  EncoderOptions EncOpts = Opts.Encoding;
-  EncOpts.Cycles = K;
-  EncOpts.Monotone = true;
-  EncOpts.TagClauses = true;
-  Enc.encode(S, Goals, EncOpts);
-  if (S.solve({Enc.budgetAssumption(K)}) == SolveResult::Unsat) {
-    Result.WhyUnsatTags = S.coreTags();
+  SearchOptions ExplainOpts;
+  ExplainOpts.ConflictBudget = Opts.ConflictBudget;
+  ExplainOpts.Encoding = Opts.Encoding;
+  ExplainOpts.Encoding.TagClauses = true;
+  Ladder Fresh(G, Isa, U, Goals, ExplainOpts);
+  Fresh.S.enableCoreTracking();
+  Fresh.Enc.prepareBudget(K);
+  if (Fresh.S.solve({Fresh.Enc.budgetAssumption(K)}) == SolveResult::Unsat) {
+    Result.WhyUnsatTags = Fresh.S.coreTags();
     Result.WhyUnsatCycles = K;
   }
   if (Span.active())
@@ -502,21 +420,20 @@ SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineMo
                                const SearchOptions &Opts,
                                const std::string &Name) {
   SearchResult Result;
-  Encoder Enc(G, Isa, U);
 
   // All goals free: the empty program computes everything.
   bool AllFree = true;
   for (const NamedGoal &Goal : Goals)
     AllFree &= U.isFree(G.find(Goal.Class));
   if (AllFree && !Goals.empty()) {
-    sat::Solver S;
-    EncoderOptions EncOpts = Opts.Encoding;
-    EncOpts.Cycles = 1;
-    Enc.encode(S, Goals, EncOpts);
-    if (S.solve() == SolveResult::Sat) {
+    SearchOptions Plain;
+    Plain.Encoding = Opts.Encoding;
+    Ladder Empty(G, Isa, U, Goals, Plain);
+    Empty.Enc.prepareBudget(1);
+    if (Empty.S.solve({Empty.Enc.budgetAssumption(1)}) == SolveResult::Sat) {
       Result.Found = true;
       Result.Cycles = 0;
-      Result.Program = Enc.extract(S, Goals, EncOpts, Name);
+      Result.Program = Empty.Enc.extract(1, Name);
       Result.Program.Cycles = 0;
       Result.Program.Instrs.clear();
       return Result;
@@ -526,16 +443,13 @@ SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineMo
   if (Opts.Strategy == SearchStrategy::Portfolio)
     return searchPortfolio(G, Isa, U, Goals, Opts, Name);
 
-  if (Opts.Strategy == SearchStrategy::Incremental || Opts.Incremental)
-    return searchIncremental(G, Isa, U, Goals, Opts, Name,
-                             /*Binary=*/Opts.Strategy ==
-                                 SearchStrategy::Binary);
-
+  // Linear and binary search share one ladder for the whole compile.
+  Ladder L(G, Isa, U, Goals, Opts);
   auto ProbeK = [&](unsigned K, std::optional<machine::Program> &Prog) {
-    Probe P = runProbe(Enc, Goals, Opts, K, Prog, Name);
+    Probe P = probeBudget(L, Opts, K, Prog, Name);
     noteProbe(P);
-    Result.Probes.push_back(P);
-    return P.Result;
+    Result.Probes.push_back(std::move(P));
+    return Result.Probes.back().Result;
   };
 
   if (Opts.Strategy == SearchStrategy::Linear)
@@ -558,8 +472,8 @@ SearchResult denali::codegen::searchBudgets(
     const egraph::EGraph &G, const machine::MachineModel &Isa, const Universe &U,
     const std::vector<NamedGoal> &Goals, const SearchOptions &Opts,
     const std::string &Name) {
-  static const char *const StrategyNames[] = {"linear", "binary", "portfolio",
-                                              "incremental"};
+  static const char *const StrategyNames[] = {"linear", "binary",
+                                              "portfolio"};
   obs::ObsSpan Span("search");
   Timer Wall;
   SearchResult Result = searchBudgetsImpl(G, Isa, U, Goals, Opts, Name);

@@ -3,14 +3,20 @@
 /// \file
 /// The outer loop of the obvious approach (paper, section 1.3): probe cycle
 /// budgets K, submitting "no K-cycle program computes the goals" to the SAT
-/// solver. UNSAT proves the lower bound K+1; SAT yields the program. The
-/// paper uses binary search but notes probe costs are far from constant;
-/// that observation is exactly why a third, parallel-portfolio strategy is
-/// provided: probes are independent SAT instances, so a window of budgets
-/// [K, K+W) runs concurrently on a worker pool, with probes made irrelevant
-/// by a SAT answer at a smaller budget cancelled cooperatively. All three
-/// strategies pin the same minimal K with the same SAT/UNSAT evidence;
-/// every probe — cancelled ones included — is recorded.
+/// solver. UNSAT proves the lower bound K+1; SAT yields the program.
+///
+/// Linear and binary search drive one solver per compile (the ladder): a
+/// probe at K appends the cycle layers the solver still lacks and solves
+/// under the budget assumption ¬E_K (see Encoder), so every layer is
+/// encoded once and learnt clauses carry from probe to probe. The paper
+/// uses binary search but notes probe costs are far from constant; that
+/// observation is why a third, parallel-portfolio strategy is provided:
+/// each probe is a fresh per-K instance, so a window of budgets [K, K+W)
+/// runs concurrently on a worker pool, with probes made irrelevant by a
+/// SAT answer at a smaller budget cancelled cooperatively. With one thread
+/// the portfolio is the fresh per-K reference ladder. All strategies pin
+/// the same minimal K with the same SAT/UNSAT evidence; every probe —
+/// cancelled ones included — is recorded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,23 +30,12 @@
 namespace denali {
 namespace codegen {
 
-/// Incremental probes every budget like Linear but reuses one SAT solver
-/// across the whole ladder: the universe is encoded once up to MaxCycles
-/// (monotone mode) and each budget K is a solve under the assumption "no
-/// program longer than K cycles", so learnt clauses, variable activities,
-/// and saved phases carry from probe to probe.
-enum class SearchStrategy { Linear, Binary, Portfolio, Incremental };
+enum class SearchStrategy { Linear, Binary, Portfolio };
 
 struct SearchOptions {
   SearchStrategy Strategy = SearchStrategy::Linear;
   unsigned MinCycles = 1;
   unsigned MaxCycles = 24;
-  /// Run Linear or Binary on the shared incremental solver instead of a
-  /// fresh solver per probe (Linear + Incremental ≡ the Incremental
-  /// strategy; Binary bisects the same assumption ladder). Portfolio
-  /// ignores this flag — its probes are concurrent and need one solver
-  /// each.
-  bool Incremental = false;
   /// Portfolio strategy: number of worker threads (and the width of the
   /// concurrently probed budget window). 0 = hardware concurrency.
   unsigned Threads = 0;
@@ -48,38 +43,37 @@ struct SearchOptions {
   uint64_t ConflictBudget = 0;
   /// If nonempty, each probe's CNF is written to
   /// <DumpCnfDir>/<name>.K<cycles>.cnf in DIMACS format (for cross-checking
-  /// with external solvers — the paper swapped SAT solvers freely).
+  /// with external solvers — the paper swapped SAT solvers freely): the
+  /// clauses on the probe's solver as they were added, with the budget
+  /// assumption as the final unit clause.
   std::string DumpCnfDir;
   /// Certify refutations: every UNSAT probe logs a clausal proof which is
   /// re-validated by the independent RUP checker, upgrading "the solver
-  /// said K cycles are impossible" to a machine-checked certificate. Works
-  /// with the incremental solver too: the probe's certificate is checked
-  /// against the monotone CNF plus the budget assumption as a unit clause,
-  /// with the cumulative learnt-clause log plus the final assumption
-  /// conflict as the derivation.
+  /// said K cycles are impossible" to a machine-checked certificate. The
+  /// formula is the clauses as added plus the budget assumption as a unit;
+  /// the derivation is the solver's learnt-clause log (cumulative on a
+  /// ladder) ending in the final assumption conflict.
   bool CertifyRefutations = false;
   /// After the ladder pins the minimal feasible K with K > MinCycles, run
-  /// one extra probe at K-1 on a fresh solver with clause tagging and core
-  /// tracking enabled, and report which clause families refuted it
-  /// (SearchResult::WhyUnsatTags). Uniform across strategies — the explain
-  /// probe is always a dedicated monotone instance, so the per-strategy
-  /// evidence is untouched.
+  /// one extra probe at K-1 on a fresh per-K instance with clause tagging
+  /// and core tracking enabled, and report which clause families refuted
+  /// it (SearchResult::WhyUnsatTags). Uniform across strategies, and the
+  /// per-strategy evidence is untouched.
   bool ExplainUnsat = false;
-  EncoderOptions Encoding; ///< Cycles field is overwritten per probe.
+  EncoderOptions Encoding;
 };
 
 /// One SAT probe (a row of the byteswap4 problem-size report).
 struct Probe {
   unsigned Cycles = 0;
   sat::SolveResult Result = sat::SolveResult::Unknown;
-  /// Under the incremental solver all probes share one monotone encoding,
-  /// so Stats repeats the shared instance size and EncodeSeconds is
-  /// charged to the ladder's first probe only.
+  /// What this probe added to its solver: the missing cycle layers and the
+  /// budget-K deadline on a ladder, the whole instance on a fresh solver.
   EncodingStats Stats;
   double EncodeSeconds = 0;
   double SolveSeconds = 0;
-  /// Conflicts spent on this probe (a per-call delta under the
-  /// incremental solver, whose counters are cumulative).
+  /// Conflicts spent on this probe (a per-call delta: a ladder's solver
+  /// counters are cumulative).
   uint64_t Conflicts = 0;
   /// With CertifyRefutations, for UNSAT probes: proof length and whether
   /// the RUP checker accepted it.
@@ -92,14 +86,13 @@ struct Probe {
   bool Cancelled = false;
   /// Pool worker that ran the probe (-1 outside the portfolio strategy).
   int Worker = -1;
-  /// Solver effort spent on this probe (per-call deltas under the
-  /// incremental solver, whose counters are cumulative).
+  /// Solver effort spent on this probe (per-call deltas).
   uint64_t Decisions = 0;
   uint64_t Propagations = 0;
   uint64_t Restarts = 0;
   uint64_t LearntClauses = 0;
-  /// Incremental probes: size of the failed-assumption set of an Unsat
-  /// answer (Solver::conflict()).
+  /// Size of the failed-assumption set of an Unsat answer
+  /// (Solver::conflict()).
   size_t FailedAssumptions = 0;
   /// For cancelled portfolio probes: wall-clock seconds from the winner's
   /// cancellation request to this probe's return (negative when the probe

@@ -243,21 +243,29 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
     A.Details.insert(codegen::tagDetail(T));
   }
 
-  auto cycleSpan = [](const std::set<unsigned> &Cs) {
+  // A tag field that overflowed decodes as TagUnknown and prints as "?"
+  // (it sorts last, so a span ending in it reads "cycles 3-?").
+  auto field = [](unsigned V) {
+    return V == codegen::TagUnknown ? std::string("?") : strFormat("%u", V);
+  };
+  auto cycleSpan = [&field](const std::set<unsigned> &Cs) {
     if (Cs.empty())
       return std::string();
     unsigned Lo = *Cs.begin(), Hi = *Cs.rbegin();
-    return Lo == Hi ? strFormat(" at cycle %u", Lo)
-                    : strFormat(" at cycles %u-%u", Lo, Hi);
+    return Lo == Hi ? " at cycle " + field(Lo)
+                    : " at cycles " + field(Lo) + "-" + field(Hi);
   };
   auto unitList = [&U](const std::set<unsigned> &Us) {
     std::string S;
     for (unsigned UIdx : Us) {
       if (!S.empty())
         S += ",";
-      S += U.model()
-               ? U.model()->unitName(static_cast<machine::UnitId>(UIdx))
-               : machine::defaultUnitName(UIdx);
+      if (UIdx == codegen::TagUnknown)
+        S += "?";
+      else
+        S += U.model()
+                 ? U.model()->unitName(static_cast<machine::UnitId>(UIdx))
+                 : machine::defaultUnitName(UIdx);
     }
     return S;
   };
@@ -274,7 +282,7 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
       const char *Mn = T < U.terms().size() && U.terms()[T].Desc
                            ? U.terms()[T].Desc->Mnemonic.c_str()
                            : "?";
-      S += strFormat("t%u (%s)", T, Mn);
+      S += "t" + field(T) + " (" + Mn + ")";
     }
     return S;
   };
@@ -310,7 +318,7 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
           Names += ", ";
         Names += GIdx < Goals.size()
                      ? strFormat("'%s'", Goals[GIdx].Target.c_str())
-                     : strFormat("#%u", GIdx);
+                     : "#" + field(GIdx);
       }
       item(strFormat("goal deadline %s%s", Names.c_str(),
                      cycleSpan(A.Cycles).c_str()));
@@ -325,7 +333,7 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
       item(strFormat("memory discipline of %s",
                      termList(A.Details, 4).c_str()));
       break;
-    case ClauseFamily::Monotone:
+    case ClauseFamily::Gating:
       item(strFormat("budget-ladder gating%s", cycleSpan(A.Cycles).c_str()));
       break;
     case ClauseFamily::None:

@@ -151,16 +151,21 @@ void Solver::detachClause(CRef C) {
   }
 }
 
-bool Solver::addClause(const ClauseLits &Input) {
+bool Solver::addClause(const Lit *Input, size_t Size) {
   assert(decisionLevel() == 0 && "clauses must be added at level 0");
   if (Unsatisfiable)
     return false;
+  ++ProblemClauses;
+  if (KeepAdded)
+    AddedClauses.emplace_back(Input, Input + Size);
   // Normalize: sort, dedup, drop false literals, detect tautologies and
-  // satisfied clauses.
-  ClauseLits Lits = Input;
+  // satisfied clauses. The scratch vectors keep this allocation-free.
+  ClauseLits &Lits = AddSorted;
+  Lits.assign(Input, Input + Size);
   std::sort(Lits.begin(), Lits.end());
   Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
-  ClauseLits Out;
+  ClauseLits &Out = AddKept;
+  Out.clear();
   for (size_t I = 0; I < Lits.size(); ++I) {
     Lit L = Lits[I];
     if (I + 1 < Lits.size() && Lits[I + 1] == ~L)
@@ -172,7 +177,6 @@ bool Solver::addClause(const ClauseLits &Input) {
       continue; // Falsified at level 0; drop.
     Out.push_back(L);
   }
-  ++ProblemClauses;
   if (Out.empty()) {
     if (CoreTracking && CurrentTag)
       CoreOut.push_back(CurrentTag);
@@ -181,6 +185,7 @@ bool Solver::addClause(const ClauseLits &Input) {
     return false;
   }
   if (Out.size() == 1) {
+    AddedUnits.push_back(Out[0]);
     if (CoreTracking && CurrentTag)
       UnitTags[Out[0].var()] = {CurrentTag};
     enqueue(Out[0], InvalidCRef);
@@ -780,17 +785,17 @@ done:
 }
 
 std::vector<ClauseLits> Solver::problemClauses() const {
+  if (KeepAdded)
+    return AddedClauses;
   std::vector<ClauseLits> Out;
   if (Unsatisfiable) {
     Out.push_back(ClauseLits{}); // The empty clause.
     return Out;
   }
-  // Level-0 facts (units enqueued by addClause before any decision).
-  size_t Level0End =
-      TrailLims.empty() ? Trail.size() : static_cast<size_t>(TrailLims[0]);
-  for (size_t I = 0; I < Level0End; ++I)
-    if (Reason[Trail[I].var()] == InvalidCRef)
-      Out.push_back(ClauseLits{Trail[I]});
+  // Unit clauses as added. Learnt units share the level-0 trail with them
+  // but are consequences, not problem clauses, so the trail is no guide.
+  for (Lit L : AddedUnits)
+    Out.push_back(ClauseLits{L});
   for (CRef C : Problems) {
     ClauseLits Lits;
     const Lit *P = clauseLits(C);

@@ -64,16 +64,33 @@ public:
 
   /// Adds a clause. \returns false if the formula is already trivially
   /// unsatisfiable (empty clause, or conflicting units at level 0).
-  bool addClause(const ClauseLits &Lits);
-  bool addClause(Lit A) { return addClause(ClauseLits{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(ClauseLits{A, B}); }
-  bool addClause(Lit A, Lit B, Lit C) { return addClause(ClauseLits{A, B, C}); }
+  bool addClause(const Lit *Lits, size_t Size);
+  bool addClause(const ClauseLits &Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    const Lit Lits[] = {A, B};
+    return addClause(Lits, 2);
+  }
+  bool addClause(Lit A, Lit B, Lit C) {
+    const Lit Lits[] = {A, B, C};
+    return addClause(Lits, 3);
+  }
 
+  /// Number of addClause() calls so far, simplified-away clauses included.
   uint64_t numClauses() const { return ProblemClauses; }
 
-  /// The problem as added (post level-0 simplification): all non-learnt
-  /// clauses plus the level-0 unit facts. Suitable for DIMACS export and
-  /// cross-checking with external solvers.
+  /// Records every clause exactly as passed to addClause(), so that
+  /// problemClauses() reports the caller's formula rather than the solver's
+  /// simplified copy. Call before the first addClause(). Proof logging
+  /// turns it on (a certificate is checked against the formula as added).
+  void keepAddedClauses() { KeepAdded = true; }
+
+  /// The problem, without any learnt clause: with keepAddedClauses(), the
+  /// clauses exactly as added; otherwise the stored problem clauses after
+  /// level-0 simplification plus the unit clauses added. Suitable for
+  /// DIMACS export and cross-checking with external solvers.
   std::vector<ClauseLits> problemClauses() const;
 
   /// Limits the search effort *per solve() call*; Unknown is returned when
@@ -125,7 +142,10 @@ public:
   /// answer the proof ends with the empty clause and can be validated by
   /// checkRupProof — making the budget search's "K cycles are impossible"
   /// certificates independently checkable.
-  void enableProofLogging() { LogProof = true; }
+  void enableProofLogging() {
+    LogProof = true;
+    keepAddedClauses();
+  }
   const std::vector<ClauseLits> &proof() const { return Proof; }
 
   /// Solves the formula. Repeated calls are allowed (the solver backtracks
@@ -216,6 +236,9 @@ private:
   std::vector<uint32_t> ResolveTags; ///< Scratch for one analyze() pass.
 
   uint64_t ProblemClauses = 0;
+  bool KeepAdded = false;
+  std::vector<ClauseLits> AddedClauses; ///< With KeepAdded: the input.
+  std::vector<Lit> AddedUnits;          ///< Unit clauses (post-simplify).
   uint64_t ConflictBudget = 0;
   const std::atomic<bool> *Interrupt = nullptr;
   bool WasInterrupted = false;
@@ -227,6 +250,9 @@ private:
   std::vector<uint8_t> Model;   ///< Snapshot of the last Sat assignment.
   ClauseLits FinalConflict;     ///< Failed assumptions of the last Unsat.
   uint64_t WastedArenaWords = 0; ///< Holes left by deleted learnt clauses.
+
+  // Scratch for addClause() (normalized input, surviving literals).
+  ClauseLits AddSorted, AddKept;
 
   // Scratch for analyze().
   std::vector<uint8_t> SeenFlags;

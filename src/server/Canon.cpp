@@ -186,11 +186,11 @@ std::string denali::server::matchFingerprint(const driver::Options &Opts) {
 std::string denali::server::resultFingerprint(const driver::Options &Opts) {
   const codegen::SearchOptions &S = Opts.Search;
   return matchFingerprint(Opts) +
-         strFormat("|strat=%d;min=%u;max=%u;incr=%d;thr=%u;confl=%llu;"
+         strFormat("|strat=%d;min=%u;max=%u;thr=%u;confl=%llu;"
                    "cnf=%s;cert=%d;xunsat=%d;amo=%d;single=%d;"
                    "explain=%d;dump=%d;why=%d",
                    static_cast<int>(S.Strategy), S.MinCycles, S.MaxCycles,
-                   S.Incremental ? 1 : 0, S.Threads,
+                   S.Threads,
                    (unsigned long long)S.ConflictBudget,
                    S.DumpCnfDir.c_str(), S.CertifyRefutations ? 1 : 0,
                    S.ExplainUnsat ? 1 : 0,

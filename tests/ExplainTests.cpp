@@ -94,6 +94,64 @@ TEST(Explain, GoldenByteswap4) {
       << G.WhyUnsatText;
 }
 
+TEST(Explain, ClauseTagFieldsMarkOverflow) {
+  using namespace codegen;
+  // The last values each field holds decode exactly.
+  uint32_t T = makeClauseTag(ClauseFamily::Operand, 253, 13, 65534);
+  EXPECT_EQ(tagFamily(T), ClauseFamily::Operand);
+  ASSERT_TRUE(tagHasCycle(T));
+  EXPECT_EQ(tagCycle(T), 253u);
+  ASSERT_TRUE(tagHasUnit(T));
+  EXPECT_EQ(tagUnit(T), 13u);
+  EXPECT_EQ(tagDetail(T), 65534u);
+  // Past a field's range the value decodes as unknown: never as "not
+  // cycle-specific", never wrapped onto a smaller value, and without
+  // disturbing the other fields.
+  for (unsigned Cycle : {254u, 255u, 300u}) {
+    T = makeClauseTag(ClauseFamily::Exclusivity, Cycle, 1, 7);
+    EXPECT_EQ(tagFamily(T), ClauseFamily::Exclusivity) << Cycle;
+    EXPECT_TRUE(tagHasCycle(T)) << Cycle;
+    EXPECT_EQ(tagCycle(T), TagUnknown) << Cycle;
+    EXPECT_EQ(tagUnit(T), 1u) << Cycle;
+    EXPECT_EQ(tagDetail(T), 7u) << Cycle;
+  }
+  for (uint32_t Detail : {65535u, 65536u, 70000u}) {
+    T = makeClauseTag(ClauseFamily::Operand, 3, 0, Detail);
+    EXPECT_EQ(tagDetail(T), TagUnknown) << Detail;
+    EXPECT_EQ(tagCycle(T), 3u) << Detail;
+    EXPECT_EQ(tagUnit(T), 0u) << Detail;
+  }
+  T = makeClauseTag(ClauseFamily::Guard, 0, 14);
+  EXPECT_TRUE(tagHasUnit(T));
+  EXPECT_EQ(tagUnit(T), TagUnknown);
+  // Absent fields stay absent.
+  T = makeClauseTag(ClauseFamily::Memory);
+  EXPECT_FALSE(tagHasCycle(T));
+  EXPECT_FALSE(tagHasUnit(T));
+  EXPECT_EQ(tagDetail(T), 0u);
+}
+
+TEST(Explain, WhyUnsatPrintsOverflowedFieldsAsUnknown) {
+  using namespace codegen;
+  SearchResult R;
+  R.Found = true;
+  R.Cycles = 302;
+  R.WhyUnsatCycles = 301;
+  R.WhyUnsatTags = {makeClauseTag(ClauseFamily::Exclusivity, 300, 0),
+                    makeClauseTag(ClauseFamily::Operand, 255, 0, 70000)};
+  Universe U; // Empty: no term has a mnemonic to print.
+  std::string Text = explain::whyUnsatReport(R, U, {});
+  EXPECT_NE(Text.find("K=301 refuted:"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("issue-slot capacity on U0 at cycle ?"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("operand availability of t? (?) at cycle ?"),
+            std::string::npos)
+      << Text;
+  EXPECT_EQ(Text.find("44"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("4464"), std::string::npos) << Text;
+}
+
 TEST(Explain, WhyUnsatEmptyWhenNotRequested) {
   driver::Superoptimizer Opt;
   driver::CompileResult R = Opt.compileSource(byteswapSource(2));

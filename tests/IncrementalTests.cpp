@@ -1,25 +1,34 @@
-//===- tests/IncrementalTests.cpp - incremental budget-search tests -------===//
+//===- tests/IncrementalTests.cpp - the ladder against the per-K reference ===//
 //
-// The incremental strategy reuses one SAT solver across the whole budget
-// ladder (monotone encoding + one assumption per budget). These tests pin
-// the evidence contract: the incremental ladder must report the same
-// minimal K, the same per-budget SAT/UNSAT answers, and the same optimality
-// certificate as the fresh-solver strategies — solver reuse is a pure
-// performance change.
+// Linear and binary search run every budget probe on one extendable solver
+// (the ladder: each cycle layer is encoded once, and a probe at K solves
+// under the assumption ¬E_K). A one-thread portfolio probes the fresh
+// per-K reference instance of every budget instead. These tests hold the
+// ladder to that reference probe by probe — the same SAT/UNSAT answer at
+// every budget it probes, the same minimal K, the same LowerBoundProved —
+// on the sample programs, the paper's byteswap5 and permute16, and a
+// seeded GmaGen slice; and they check the ladder's refutation certificates
+// and its conflict-budget errors.
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "axioms/BuiltinAxioms.h"
 #include "codegen/Search.h"
 #include "driver/Superoptimizer.h"
 #include "match/Elaborate.h"
 #include "match/Matcher.h"
+#include "sat/RupChecker.h"
+#include "support/StringExtras.h"
 #include "verify/GmaGen.h"
-#include "verify/Oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
+#include <sstream>
 
 using namespace denali;
 using namespace denali::codegen;
@@ -28,7 +37,12 @@ using denali::ir::Builtin;
 
 namespace {
 
-class IncrementalTest : public ::testing::Test {
+//===----------------------------------------------------------------------===
+// The Encoder's ladder driven by hand: per-probe deltas, layer reuse, and
+// RUP certificates against the clauses as added plus the assumption unit.
+//===----------------------------------------------------------------------===
+
+class LadderTest : public ::testing::Test {
 protected:
   ir::Context Ctx;
   EGraph G{Ctx};
@@ -42,180 +56,441 @@ protected:
     return G.addNode(Ctx.Ops.builtin(B), Args);
   }
 
-  void saturate(size_t MaxNodes = 30000) {
+  void saturate() {
     match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
     for (match::Elaborator &E : match::standardElaborators())
       M.addElaborator(std::move(E));
     match::MatchLimits Limits;
-    Limits.MaxNodes = MaxNodes;
+    Limits.MaxNodes = 30000;
     M.saturate(G, Limits);
     ASSERT_FALSE(G.isInconsistent()) << G.inconsistencyMessage();
   }
 
-  SearchResult search(ClassId Goal, SearchStrategy Strategy,
-                      bool Incremental = false, bool Certify = false) {
-    SearchOptions Opts;
-    Opts.Strategy = Strategy;
-    Opts.Incremental = Incremental;
-    Opts.CertifyRefutations = Certify;
-    Universe U;
-    std::string Err;
-    EXPECT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err))
-        << Err;
-    return searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts, "test");
-  }
-
-  /// The cross-strategy contract: all fresh and incremental variants pin
-  /// the same minimal K, the same program cost, and the same certificate.
-  void expectAllStrategiesAgree(ClassId Goal) {
-    SearchResult RL = search(Goal, SearchStrategy::Linear);
-    SearchResult RB = search(Goal, SearchStrategy::Binary);
-    SearchResult RP = search(Goal, SearchStrategy::Portfolio);
-    SearchResult RI = search(Goal, SearchStrategy::Incremental);
-    SearchResult RLI = search(Goal, SearchStrategy::Linear, true);
-    SearchResult RBI = search(Goal, SearchStrategy::Binary, true);
-    ASSERT_TRUE(RL.Found) << RL.Error;
-    ASSERT_TRUE(RB.Found) << RB.Error;
-    ASSERT_TRUE(RP.Found) << RP.Error;
-    ASSERT_TRUE(RI.Found) << RI.Error;
-    ASSERT_TRUE(RLI.Found) << RLI.Error;
-    ASSERT_TRUE(RBI.Found) << RBI.Error;
-    EXPECT_EQ(RI.Cycles, RL.Cycles);
-    EXPECT_EQ(RLI.Cycles, RL.Cycles);
-    EXPECT_EQ(RBI.Cycles, RL.Cycles);
-    EXPECT_EQ(RB.Cycles, RL.Cycles);
-    EXPECT_EQ(RP.Cycles, RL.Cycles);
-    EXPECT_EQ(RI.LowerBoundProved, RL.LowerBoundProved);
-    EXPECT_EQ(RBI.LowerBoundProved, RB.LowerBoundProved);
-    // Program cost (the objective) matches; the schedules themselves may
-    // differ — any minimal-K model is a correct answer.
-    EXPECT_EQ(RI.Program.Cycles, RL.Program.Cycles);
-    EXPECT_EQ(RI.Program.Instrs.size(), RL.Program.Instrs.size());
+  ClassId mixGoal() {
+    return app(Builtin::Add64,
+               {app(Builtin::Shl64, {v("x"), c(3)}),
+                app(Builtin::Xor64,
+                    {v("y"), app(Builtin::And64, {v("x"), v("y")})})});
   }
 };
 
-TEST_F(IncrementalTest, AgreesOnScaledAdd) {
-  ClassId Goal = app(Builtin::Add64, {app(Builtin::Mul64, {v("reg6"), c(4)}),
-                                      c(1)});
-  saturate();
-  expectAllStrategiesAgree(Goal);
+uint64_t familySum(const EncodingStats &S) {
+  return S.DefinitionClauses + S.OperandClauses + S.ExclusivityClauses +
+         S.DeadlineClauses + S.GuardClauses + S.MemoryClauses +
+         S.GatingClauses;
 }
 
-TEST_F(IncrementalTest, AgreesOnByteswap2) {
-  ClassId X = v("x");
-  ClassId Lo = app(Builtin::Shl64, {app(Builtin::And64, {X, c(0xff)}), c(8)});
-  ClassId Hi = app(Builtin::And64, {app(Builtin::Shr64, {X, c(8)}), c(0xff)});
-  ClassId Goal = app(Builtin::Or64, {Lo, Hi});
+TEST_F(LadderTest, ProbesAddOnlyWhatIsMissingAndCertify) {
+  ClassId Goal = mixGoal();
   saturate();
-  expectAllStrategiesAgree(Goal);
-}
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err))
+      << Err;
+  std::vector<NamedGoal> Goals = {{"res", Goal, false}};
 
-TEST_F(IncrementalTest, AgreesOnMultiCycleMix) {
-  ClassId Goal = app(
-      Builtin::Add64,
-      {app(Builtin::Shl64, {v("x"), c(3)}),
-       app(Builtin::Xor64, {v("y"), app(Builtin::And64, {v("x"), v("y")})})});
-  saturate();
-  expectAllStrategiesAgree(Goal);
-}
+  sat::Solver S;
+  S.enableProofLogging();
+  Encoder Enc(G, Isa, U, Goals, EncoderOptions(), S);
+  unsigned Unsat = 0;
+  unsigned K = 1;
+  for (; K <= 12; ++K) {
+    EncodingStats Stats = Enc.prepareBudget(K);
+    EXPECT_EQ(Stats.Layers, 1u) << "K=" << K;
+    EXPECT_EQ(Enc.layers(), K);
+    EXPECT_EQ(familySum(Stats), Stats.Clauses) << "K=" << K;
+    EXPECT_GT(Stats.Vars, 0);
+    // A budget prepared twice adds nothing the second time.
+    EncodingStats Again = Enc.prepareBudget(K);
+    EXPECT_EQ(Again.Layers, 0u);
+    EXPECT_EQ(Again.Vars, 0);
+    EXPECT_EQ(Again.Clauses, 0u);
 
-TEST_F(IncrementalTest, EvidenceContractPerProbe) {
-  // x + 100000 needs a ldiq first: minimal budget 2, so the incremental
-  // ladder must record a real UNSAT at K=1 — an optimality certificate,
-  // not a skipped budget.
-  ClassId Goal = app(Builtin::Add64, {v("x"), c(100000)});
-  saturate();
-  SearchResult RL = search(Goal, SearchStrategy::Linear);
-  SearchResult RI = search(Goal, SearchStrategy::Incremental);
-  ASSERT_TRUE(RL.Found) << RL.Error;
-  ASSERT_TRUE(RI.Found) << RI.Error;
-  EXPECT_EQ(RI.Cycles, 2u);
-  EXPECT_TRUE(RI.LowerBoundProved);
-
-  // Identical probe ladder: same budgets in the same order with the same
-  // answers as the fresh-solver linear search.
-  ASSERT_EQ(RI.Probes.size(), RL.Probes.size());
-  for (size_t I = 0; I < RI.Probes.size(); ++I) {
-    EXPECT_EQ(RI.Probes[I].Cycles, RL.Probes[I].Cycles);
-    EXPECT_EQ(RI.Probes[I].Result, RL.Probes[I].Result);
-    EXPECT_FALSE(RI.Probes[I].Cancelled);
+    sat::Lit A = Enc.budgetAssumption(K);
+    sat::SolveResult R = S.solve({A});
+    ASSERT_NE(R, sat::SolveResult::Unknown);
+    if (R == sat::SolveResult::Sat)
+      break;
+    ++Unsat;
+    // The certificate rests on the encoder's clauses as added plus the
+    // assumption unit; the solver's lemmas are for the checker to derive.
+    sat::Cnf F;
+    F.NumVars = S.numVars();
+    F.Clauses = S.problemClauses();
+    F.Clauses.push_back(sat::ClauseLits{A});
+    std::vector<sat::ClauseLits> Proof = S.proof();
+    Proof.push_back(sat::ClauseLits{});
+    EXPECT_TRUE(sat::checkRupProof(F, Proof, &Err)) << "K=" << K << ": "
+                                                    << Err;
   }
+  ASSERT_LE(K, 12u) << "no program within 12 cycles";
+  EXPECT_GT(Unsat, 0u);
+  machine::Program P = Enc.extract(K, "mix");
+  EXPECT_EQ(P.Cycles, K);
+  EXPECT_FALSE(P.Instrs.empty());
 
-  // The shared encoding is charged to the first probe only.
-  ASSERT_GE(RI.Probes.size(), 2u);
-  EXPECT_GT(RI.Probes[0].EncodeSeconds, 0.0);
-  for (size_t I = 1; I < RI.Probes.size(); ++I)
-    EXPECT_EQ(RI.Probes[I].EncodeSeconds, 0.0);
-
-  ASSERT_GE(RI.WinningProbe, 0);
-  EXPECT_EQ(RI.Probes[RI.WinningProbe].Result, sat::SolveResult::Sat);
-  EXPECT_EQ(RI.Probes[RI.WinningProbe].Cycles, RI.Cycles);
+  // Going back down the ladder reuses every layer: only the deadline of the
+  // smaller budget is new, and the answer is still a refutation.
+  EncodingStats Down = Enc.prepareBudget(K - 1);
+  EXPECT_EQ(Down.Layers, 0u);
+  EXPECT_EQ(Down.Vars, 0);
+  EXPECT_EQ(Down.Clauses, Down.DeadlineClauses);
+  EXPECT_EQ(S.solve({Enc.budgetAssumption(K - 1)}), sat::SolveResult::Unsat);
 }
 
-TEST_F(IncrementalTest, RefutationsCertifiedUnderAssumptions) {
-  // Every UNSAT probe of the incremental ladder carries a machine-checked
-  // RUP certificate (cumulative proof log + final assumption conflict
-  // against the monotone CNF + budget-assumption unit).
-  ClassId Goal = app(
-      Builtin::Add64,
-      {app(Builtin::Shl64, {v("x"), c(3)}),
-       app(Builtin::Xor64, {v("y"), app(Builtin::And64, {v("x"), v("y")})})});
-  saturate();
-  SearchResult RI =
-      search(Goal, SearchStrategy::Incremental, false, /*Certify=*/true);
-  ASSERT_TRUE(RI.Found) << RI.Error;
-  EXPECT_TRUE(RI.LowerBoundProved);
-  size_t UnsatProbes = 0;
-  for (const Probe &P : RI.Probes)
-    if (P.Result == sat::SolveResult::Unsat) {
-      ++UnsatProbes;
-      EXPECT_TRUE(P.ProofChecked) << "budget " << P.Cycles;
-      EXPECT_GT(P.ProofSteps, 0u) << "budget " << P.Cycles;
-    }
-  EXPECT_GT(UnsatProbes, 0u);
-}
-
-TEST_F(IncrementalTest, BinaryLadderSharesTheSolver) {
-  // Binary + Incremental bisects the same assumption ladder: probes may
-  // come in bisection order, but the answer and the per-budget evidence
-  // map must match the fresh binary search.
-  ClassId Goal = app(
-      Builtin::Add64,
-      {app(Builtin::Shl64, {v("x"), c(3)}),
-       app(Builtin::Xor64, {v("y"), app(Builtin::And64, {v("x"), v("y")})})});
-  saturate();
-  SearchResult RB = search(Goal, SearchStrategy::Binary);
-  SearchResult RBI = search(Goal, SearchStrategy::Binary, true);
-  ASSERT_TRUE(RB.Found) << RB.Error;
-  ASSERT_TRUE(RBI.Found) << RBI.Error;
-  EXPECT_EQ(RBI.Cycles, RB.Cycles);
-  std::map<unsigned, sat::SolveResult> Fresh, Shared;
-  for (const Probe &P : RB.Probes)
-    Fresh[P.Cycles] = P.Result;
-  for (const Probe &P : RBI.Probes)
-    Shared[P.Cycles] = P.Result;
-  EXPECT_EQ(Shared, Fresh);
-}
-
-TEST_F(IncrementalTest, FreeGoalShortCircuits) {
+TEST_F(LadderTest, FreeGoalShortCircuits) {
   ClassId Goal = v("x");
   saturate();
-  SearchResult R = search(Goal, SearchStrategy::Incremental);
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err))
+      << Err;
+  SearchResult R =
+      searchBudgets(G, Isa, U, {{"res", Goal, false}}, SearchOptions(), "x");
   ASSERT_TRUE(R.Found) << R.Error;
   EXPECT_EQ(R.Cycles, 0u);
   EXPECT_TRUE(R.Program.Instrs.empty());
 }
 
 //===----------------------------------------------------------------------===
-// Driver-level equivalence on goal terms (the library entry point the
-// example programs use), with differential verification of the produced
-// program.
+// The ladder against the fresh per-K reference.
 //===----------------------------------------------------------------------===
 
-driver::GmaResult compileMix(SearchStrategy Strategy, bool Incremental) {
+/// Runs the budget search of one fixed input under \p Opts.
+using Searcher = std::function<SearchResult(const SearchOptions &Opts)>;
+
+SearchOptions referenceOptions(unsigned MinCycles, unsigned MaxCycles) {
+  SearchOptions S;
+  S.Strategy = SearchStrategy::Portfolio;
+  S.Threads = 1;
+  S.MinCycles = MinCycles;
+  S.MaxCycles = MaxCycles;
+  return S;
+}
+
+/// The fresh per-K reference answer at any budget: the reference ladder's
+/// own probes, plus one-budget reference runs for budgets it never reached.
+class Reference {
+public:
+  Reference(const Searcher &Search, unsigned MinCycles, unsigned MaxCycles)
+      : Search(Search), Ladder(Search(referenceOptions(MinCycles, MaxCycles))) {
+    for (const Probe &P : Ladder.Probes)
+      Answers[P.Cycles] = P.Result;
+  }
+
+  sat::SolveResult at(unsigned K) {
+    auto It = Answers.find(K);
+    if (It != Answers.end())
+      return It->second;
+    SearchResult One = Search(referenceOptions(K, K));
+    EXPECT_EQ(One.Probes.size(), 1u) << "K=" << K;
+    sat::SolveResult R =
+        One.Probes.empty() ? sat::SolveResult::Unknown : One.Probes[0].Result;
+    Answers[K] = R;
+    return R;
+  }
+
+  const SearchResult &ladder() const { return Ladder; }
+
+private:
+  const Searcher &Search;
+  SearchResult Ladder;
+  std::map<unsigned, sat::SolveResult> Answers;
+};
+
+/// Runs Linear and Binary from MinCycles 1 and 3 and compares each probe
+/// with the reference. \returns the number of probes compared.
+size_t expectLadderMatchesReference(const Searcher &Search,
+                                    unsigned MaxCycles) {
+  size_t Compared = 0;
+  for (unsigned MinCycles : {1u, 3u}) {
+    Reference Ref(Search, MinCycles, MaxCycles);
+    const SearchResult &RefR = Ref.ladder();
+    for (SearchStrategy Strategy :
+         {SearchStrategy::Linear, SearchStrategy::Binary}) {
+      SCOPED_TRACE(strFormat("%s from %u",
+                             Strategy == SearchStrategy::Linear ? "linear"
+                                                                : "binary",
+                             MinCycles));
+      SearchOptions S = referenceOptions(MinCycles, MaxCycles);
+      S.Strategy = Strategy;
+      SearchResult R = Search(S);
+      EXPECT_EQ(R.Found, RefR.Found) << R.Error << " / " << RefR.Error;
+      if (R.Found && RefR.Found) {
+        EXPECT_EQ(R.Cycles, RefR.Cycles);
+        EXPECT_EQ(R.LowerBoundProved, RefR.LowerBoundProved);
+      }
+      for (const Probe &P : R.Probes) {
+        EXPECT_FALSE(P.Cancelled);
+        EXPECT_EQ(P.Result, Ref.at(P.Cycles)) << "K=" << P.Cycles;
+        EXPECT_EQ(familySum(P.Stats), P.Stats.Clauses) << "K=" << P.Cycles;
+        ++Compared;
+      }
+      if (Strategy == SearchStrategy::Linear && R.Found && RefR.Found &&
+          R.Cycles > 0) {
+        // Same probes in the same order; every layer encoded once, so the
+        // ladder adds exactly the reference's final instance plus one
+        // deadline per earlier budget.
+        EXPECT_EQ(R.Probes.size(), RefR.Probes.size());
+        if (R.Probes.size() != RefR.Probes.size())
+          continue;
+        int Vars = 0;
+        uint64_t Clauses = 0, Deadlines = 0;
+        for (size_t I = 0; I < R.Probes.size(); ++I) {
+          EXPECT_EQ(R.Probes[I].Cycles, RefR.Probes[I].Cycles);
+          EXPECT_EQ(R.Probes[I].Stats.Layers,
+                    I == 0 ? R.Probes[I].Cycles : 1u);
+          Vars += R.Probes[I].Stats.Vars;
+          Clauses += R.Probes[I].Stats.Clauses;
+          if (I + 1 < R.Probes.size())
+            Deadlines += R.Probes[I].Stats.DeadlineClauses;
+        }
+        const EncodingStats &Last = RefR.Probes.back().Stats;
+        EXPECT_EQ(Vars, Last.Vars);
+        EXPECT_EQ(Clauses, Last.Clauses + Deadlines);
+      }
+    }
+  }
+  return Compared;
+}
+
+/// With CertifyRefutations every UNSAT probe of both ladders carries a
+/// certificate that passes the RUP checker.
+void expectCertified(const Searcher &Search, unsigned MaxCycles) {
+  for (SearchStrategy Strategy :
+       {SearchStrategy::Linear, SearchStrategy::Binary}) {
+    SearchOptions S = referenceOptions(1, MaxCycles);
+    S.Strategy = Strategy;
+    S.CertifyRefutations = true;
+    SearchResult R = Search(S);
+    for (const Probe &P : R.Probes)
+      if (P.Result == sat::SolveResult::Unsat) {
+        EXPECT_TRUE(P.ProofChecked) << "K=" << P.Cycles;
+        EXPECT_GT(P.ProofSteps, 0u) << "K=" << P.Cycles;
+      }
+  }
+}
+
+/// A ladder that exhausts its conflict budget reports the conflict-budget
+/// error, never an answer. \returns how many of the two ladders ran out.
+unsigned expectBudgetErrorOrSameAnswer(const Searcher &Search,
+                                       unsigned MaxCycles) {
+  SearchResult Ref = Search(referenceOptions(1, MaxCycles));
+  unsigned Exhausted = 0;
+  for (SearchStrategy Strategy :
+       {SearchStrategy::Linear, SearchStrategy::Binary}) {
+    SearchOptions S = referenceOptions(1, MaxCycles);
+    S.Strategy = Strategy;
+    S.ConflictBudget = 1;
+    SearchResult R = Search(S);
+    bool SawUnknown = false;
+    for (const Probe &P : R.Probes)
+      SawUnknown |= P.Result == sat::SolveResult::Unknown;
+    if (SawUnknown) {
+      ++Exhausted;
+      EXPECT_FALSE(R.Found);
+      EXPECT_NE(R.Error.find("exceeded the conflict budget"),
+                std::string::npos)
+          << R.Error;
+      EXPECT_EQ(R.Probes.back().Result, sat::SolveResult::Unknown);
+    } else {
+      EXPECT_EQ(R.Found, Ref.Found);
+      EXPECT_EQ(R.Cycles, Ref.Cycles);
+      EXPECT_EQ(R.LowerBoundProved, Ref.LowerBoundProved);
+    }
+  }
+  return Exhausted;
+}
+
+/// The full contract on one input. \returns the number of probes compared.
+size_t expectLadderContract(const Searcher &Search, unsigned MaxCycles,
+                            bool Certify = true) {
+  size_t Compared = expectLadderMatchesReference(Search, MaxCycles);
+  if (Certify)
+    expectCertified(Search, MaxCycles);
+  expectBudgetErrorOrSameAnswer(Search, MaxCycles);
+  return Compared;
+}
+
+Searcher fixtureSearcher(const EGraph &G, const alpha::ISA &Isa,
+                         const Universe &U, ClassId Goal) {
+  return [&G, &Isa, &U, Goal](const SearchOptions &Opts) {
+    return searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts, "test");
+  };
+}
+
+TEST_F(LadderTest, AgreesOnScaledAdd) {
+  ClassId Goal = app(Builtin::Add64, {app(Builtin::Mul64, {v("reg6"), c(4)}),
+                                      c(1)});
+  saturate();
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err));
+  EXPECT_GT(expectLadderContract(fixtureSearcher(G, Isa, U, Goal), 12), 0u);
+}
+
+TEST_F(LadderTest, AgreesOnByteswap2) {
+  ClassId X = v("x");
+  ClassId Lo = app(Builtin::Shl64, {app(Builtin::And64, {X, c(0xff)}), c(8)});
+  ClassId Hi = app(Builtin::And64, {app(Builtin::Shr64, {X, c(8)}), c(0xff)});
+  ClassId Goal = app(Builtin::Or64, {Lo, Hi});
+  saturate();
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err));
+  EXPECT_GT(expectLadderContract(fixtureSearcher(G, Isa, U, Goal), 12), 0u);
+}
+
+TEST_F(LadderTest, AgreesOnMultiCycleMix) {
+  ClassId Goal = mixGoal();
+  saturate();
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {G.find(Goal)}, UniverseOptions(), &Err));
+  EXPECT_GT(expectLadderContract(fixtureSearcher(G, Isa, U, Goal), 12), 0u);
+}
+
+/// One GMA, saturated once and searched under many configurations.
+struct Input {
+  std::string Name;
+  driver::Superoptimizer *Opt;
+  gma::GMA G;
+  driver::SaturatedGma Sat;
+
+  Searcher searcher() const {
+    return [this](const SearchOptions &S) {
+      SearchOptions Saved = Opt->options().Search;
+      Opt->options().Search = S;
+      driver::GmaResult R = Opt->compileSaturated(Sat, G);
+      Opt->options().Search = Saved;
+      return R.Search;
+    };
+  }
+};
+
+/// Inputs and the pipelines that own them.
+class Corpus {
+public:
+  std::vector<Input> Inputs;
+
+  /// Every GMA of Denali source \p Text.
+  void addSource(const std::string &Name, const std::string &Text) {
+    driver::Superoptimizer &Opt = own(driver::Options());
+    driver::CompileResult CR = Opt.compileSource(Text);
+    ASSERT_TRUE(CR.ok()) << Name << ": " << CR.Error;
+    for (const driver::GmaResult &GR : CR.Gmas)
+      add(Name + ":" + GR.Gma.Name, Opt, GR.Gma);
+  }
+
+  /// \p Count GMAs from the seeded generator, under the harness limits.
+  void addGenerated(uint64_t Seed, unsigned Count) {
+    driver::Options O;
+    O.Matching.MaxNodes = 8000;
+    O.Matching.MaxRounds = 8;
+    driver::Superoptimizer &Opt = own(O);
+    verify::GmaGen Gen(Opt.context(), Seed);
+    for (unsigned I = 0; I < Count; ++I)
+      add(strFormat("gen%llu.%u", static_cast<unsigned long long>(Seed), I),
+          Opt, Gen.next());
+  }
+
+private:
+  std::vector<std::unique_ptr<driver::Superoptimizer>> Pipelines;
+
+  driver::Superoptimizer &own(const driver::Options &O) {
+    Pipelines.push_back(std::make_unique<driver::Superoptimizer>(O));
+    return *Pipelines.back();
+  }
+  void add(const std::string &Name, driver::Superoptimizer &Opt,
+           const gma::GMA &G) {
+    driver::SaturatedGma Sat = Opt.saturateGMA(G);
+    if (!Sat.ok())
+      return; // Contradictory facts: nothing to search.
+    Inputs.push_back(Input{Name, &Opt, G, std::move(Sat)});
+  }
+};
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// Every program in examples/programs/, rowop (22 cycles) included.
+class SampleProgram : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(SampleProgram, LadderMatchesReference) {
+  Corpus C;
+  C.addSource(GetParam(),
+              readFile(std::string(DENALI_EXAMPLES_DIR) + "/" + GetParam()));
+  ASSERT_FALSE(C.Inputs.empty());
+  for (const Input &In : C.Inputs) {
+    SCOPED_TRACE(In.Name);
+    EXPECT_GT(expectLadderContract(In.searcher(), 26), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Examples, SampleProgram,
+    ::testing::Values("byteswap4.dnl", "byteswap4.den", "checksum.dnl",
+                      "checksum.den", "checksum_pipelined.dnl",
+                      "copyloop.dnl", "rowop.dnl"),
+    [](const ::testing::TestParamInfo<const char *> &Info) {
+      std::string Name = Info.param;
+      for (char &Ch : Name)
+        if (Ch == '.')
+          Ch = '_';
+      return Name;
+    });
+
+TEST(PaperKernels, LadderMatchesReference) {
+  Corpus C;
+  C.addSource("byteswap5", bench::byteswapSource(5));
+  C.addSource("permute16", bench::permuteSource());
+  ASSERT_EQ(C.Inputs.size(), 2u);
+  for (const Input &In : C.Inputs) {
+    SCOPED_TRACE(In.Name);
+    EXPECT_GT(expectLadderContract(In.searcher(), 12), 0u);
+  }
+}
+
+TEST(PaperKernels, ExhaustedConflictBudgetIsAnError) {
+  // byteswap4's K=4 refutation takes conflicts, so a budget of one
+  // conflict runs out on both ladders.
+  Corpus C;
+  C.addSource("byteswap4", bench::byteswapSource(4));
+  ASSERT_EQ(C.Inputs.size(), 1u);
+  EXPECT_EQ(expectBudgetErrorOrSameAnswer(C.Inputs[0].searcher(), 12), 2u);
+}
+
+/// A seeded GmaGen slice: 5 seeds x 24 GMAs.
+class GeneratedSlice : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(GeneratedSlice, LadderMatchesReference) {
+  Corpus C;
+  C.addGenerated(1000 + GetParam(), 24);
+  ASSERT_GE(C.Inputs.size(), 20u);
+  size_t Compared = 0;
+  for (size_t I = 0; I < C.Inputs.size(); ++I) {
+    SCOPED_TRACE(C.Inputs[I].Name);
+    Compared += expectLadderContract(C.Inputs[I].searcher(), 12,
+                                     /*Certify=*/I % 4 == 0);
+  }
+  // Some generated GMAs need no instruction at all; most need probes.
+  EXPECT_GT(Compared, C.Inputs.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedSlice, ::testing::Range(0u, 5u));
+
+//===----------------------------------------------------------------------===
+// Driver-level agreement with differential verification of the programs.
+//===----------------------------------------------------------------------===
+
+driver::GmaResult compileMix(SearchStrategy Strategy) {
   driver::Options Opts;
   Opts.Search.Strategy = Strategy;
-  Opts.Search.Incremental = Incremental;
+  Opts.Search.Threads = 1;
   Opts.Search.MaxCycles = 12;
   driver::Superoptimizer Opt(Opts);
   ir::Context &Ctx = Opt.context();
@@ -235,43 +510,15 @@ driver::GmaResult compileMix(SearchStrategy Strategy, bool Incremental) {
   return R;
 }
 
-TEST(IncrementalDriver, VerifiedAndAgreesOnGoalTerms) {
-  driver::GmaResult RL = compileMix(SearchStrategy::Linear, false);
-  driver::GmaResult RI = compileMix(SearchStrategy::Incremental, false);
-  driver::GmaResult RBI = compileMix(SearchStrategy::Binary, true);
-  ASSERT_TRUE(RL.ok() && RI.ok() && RBI.ok());
-  EXPECT_EQ(RI.Search.Cycles, RL.Search.Cycles);
-  EXPECT_EQ(RBI.Search.Cycles, RL.Search.Cycles);
-  EXPECT_EQ(RI.Search.LowerBoundProved, RL.Search.LowerBoundProved);
+TEST(LadderDriver, VerifiedAndAgreesOnGoalTerms) {
+  driver::GmaResult RP = compileMix(SearchStrategy::Portfolio);
+  driver::GmaResult RL = compileMix(SearchStrategy::Linear);
+  driver::GmaResult RB = compileMix(SearchStrategy::Binary);
+  ASSERT_TRUE(RP.ok() && RL.ok() && RB.ok());
+  EXPECT_EQ(RL.Search.Cycles, RP.Search.Cycles);
+  EXPECT_EQ(RB.Search.Cycles, RP.Search.Cycles);
+  EXPECT_EQ(RL.Search.LowerBoundProved, RP.Search.LowerBoundProved);
+  EXPECT_EQ(RB.Search.LowerBoundProved, RP.Search.LowerBoundProved);
 }
-
-//===----------------------------------------------------------------------===
-// Differential GmaGen fuzzing: seeded random GMAs must yield the same
-// minimal K under the fresh-solver and shared-solver ladders, and every
-// result must survive the full oracle (simulator + schedule replay).
-//===----------------------------------------------------------------------===
-
-class IncrementalDifferential : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(IncrementalDifferential, AgreesWithLinearOnGeneratedGmas) {
-  driver::Superoptimizer Opt;
-  Opt.options().Search.MaxCycles = 12;
-  Opt.options().Matching.MaxNodes = 8000;
-  Opt.options().Matching.MaxRounds = 8;
-
-  verify::GmaGen Gen(Opt.context(), 1000 + GetParam());
-  for (unsigned I = 0; I < 3; ++I) {
-    gma::GMA G = Gen.next();
-    SCOPED_TRACE(G.toString(Opt.context()));
-    auto Err = verify::crossCheckStrategies(
-        Opt, G,
-        {codegen::SearchStrategy::Linear,
-         codegen::SearchStrategy::Incremental});
-    EXPECT_FALSE(Err) << *Err;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferential,
-                         ::testing::Range(0u, 6u));
 
 } // namespace

@@ -540,6 +540,40 @@ TEST(Dimacs, ExportedProblemIsEquisatisfiable) {
   }
 }
 
+TEST(Dimacs, ProblemClausesLeaveOutLearntUnits) {
+  // (a|b)(a|~b)(~a|b|c) solved under ~c: refuting ~a teaches the solver the
+  // unit (a), which then sits on the level-0 trail like an added unit. It is
+  // a lemma, not a problem clause; and (~a|c), added afterwards, is a
+  // problem clause as added, whatever the solver stores for it.
+  const Var A = 0, B = 1, C = 2;
+  std::vector<ClauseLits> Formula = {{Lit::pos(A), Lit::pos(B)},
+                                     {Lit::pos(A), Lit::neg(B)},
+                                     {Lit::neg(A), Lit::pos(B), Lit::pos(C)}};
+  for (bool Keep : {false, true}) {
+    SCOPED_TRACE(Keep ? "clauses kept as added" : "simplified clauses");
+    Solver S;
+    for (int I = 0; I < 3; ++I)
+      S.newVar();
+    if (Keep)
+      S.keepAddedClauses();
+    for (const ClauseLits &Cl : Formula)
+      S.addClause(Cl);
+    ASSERT_EQ(S.solve({Lit::neg(C)}), SolveResult::Sat);
+    EXPECT_TRUE(S.modelValue(A));
+    ASSERT_GE(S.stats().LearntClauses + S.stats().Conflicts, 1u);
+    S.addClause(Lit::neg(A), Lit::pos(C));
+    std::vector<ClauseLits> Clauses = S.problemClauses();
+    for (const ClauseLits &Cl : Clauses)
+      EXPECT_NE(Cl, ClauseLits{Lit::pos(A)}) << "learnt unit listed";
+    if (Keep) {
+      std::vector<ClauseLits> Want = Formula;
+      Want.push_back({Lit::neg(A), Lit::pos(C)});
+      EXPECT_EQ(Clauses, Want);
+    }
+    EXPECT_EQ(S.numClauses(), 4u);
+  }
+}
+
 TEST(Dimacs, ExportUnsatProblem) {
   Solver S;
   S.addClause(Lit::pos(S.newVar()));
@@ -634,6 +668,38 @@ TEST(RupProof, MissingEmptyClauseRejected) {
   std::string Err;
   EXPECT_FALSE(checkRupProof(F, Proof, &Err));
   EXPECT_NE(Err.find("empty clause"), std::string::npos);
+}
+
+TEST(RupProof, CertificateRestsOnClausesAsAdded) {
+  // The incremental pattern of the budget ladder: solve under an
+  // assumption, add clauses, solve again. The solver learns (a) on the
+  // first call and stores (~a|c) as the unit (c); the refutation of ~c on
+  // the second call must still check against the clauses as added plus the
+  // assumption unit, with (a) left for the checker to derive.
+  Solver S;
+  for (int I = 0; I < 3; ++I)
+    S.newVar();
+  S.enableProofLogging();
+  const Lit A = Lit::pos(0), B = Lit::pos(1), C = Lit::pos(2);
+  std::vector<ClauseLits> Formula = {{A, B}, {A, ~B}, {~A, B, C}};
+  for (const ClauseLits &Cl : Formula)
+    S.addClause(Cl);
+  ASSERT_EQ(S.solve({~C}), SolveResult::Sat);
+  Formula.push_back({~A, C});
+  S.addClause(Formula.back());
+  ASSERT_EQ(S.solve({~C}), SolveResult::Unsat);
+  EXPECT_EQ(S.problemClauses(), Formula);
+
+  Cnf F = collectFormula(S.problemClauses(), S.numVars());
+  F.Clauses.push_back({~C});
+  std::vector<ClauseLits> Proof = S.proof();
+  Proof.push_back(ClauseLits{});
+  std::string Err;
+  EXPECT_TRUE(checkRupProof(F, Proof, &Err)) << Err;
+  // Without the assumption unit the formula is satisfiable: no proof of it
+  // may check.
+  F.Clauses.pop_back();
+  EXPECT_FALSE(checkRupProof(F, Proof, &Err));
 }
 
 TEST(RupProof, TrivialUnsatAtAddTime) {

@@ -24,7 +24,7 @@
 //     rv64 at all, so only it can catch this plant (E18).
 //
 // Usage: verify_smoke [--seed N] [--count N] [--trials N] [--max-cycles N]
-//                     [--strategies linear,binary,portfolio,incremental]
+//                     [--strategies linear,binary,portfolio]
 //                     [--machines alpha,rv64]
 //                     [--inject-latency-bug] [--inject-rv64-latency-bug]
 //                     [--expect-detect] [-v] [--dump DIR]
@@ -62,8 +62,7 @@ struct Flags {
   unsigned MaxCycles = 12;
   std::vector<codegen::SearchStrategy> Strategies = {
       codegen::SearchStrategy::Linear, codegen::SearchStrategy::Binary,
-      codegen::SearchStrategy::Portfolio,
-      codegen::SearchStrategy::Incremental};
+      codegen::SearchStrategy::Portfolio};
   std::vector<std::string> Machines; ///< Empty: single-machine mode.
   bool InjectLatencyBug = false;
   bool InjectRV64LatencyBug = false;
@@ -76,7 +75,7 @@ int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--count N] [--trials N] [--max-cycles N]\n"
-      "          [--strategies linear,binary,portfolio,incremental]\n"
+      "          [--strategies linear,binary,portfolio]\n"
       "          [--machines alpha,rv64]\n"
       "          [--inject-latency-bug] [--inject-rv64-latency-bug]\n"
       "          [--expect-detect] [-v]\n",
@@ -98,8 +97,6 @@ bool parseStrategies(const std::string &Spec,
       Out.push_back(codegen::SearchStrategy::Binary);
     else if (Name == "portfolio")
       Out.push_back(codegen::SearchStrategy::Portfolio);
-    else if (Name == "incremental")
-      Out.push_back(codegen::SearchStrategy::Incremental);
     else
       return false;
     if (Comma == std::string::npos)
@@ -117,8 +114,6 @@ const char *strategyName(codegen::SearchStrategy S) {
     return "binary";
   case codegen::SearchStrategy::Portfolio:
     return "portfolio";
-  case codegen::SearchStrategy::Incremental:
-    return "incremental";
   }
   return "?";
 }

@@ -19,7 +19,7 @@
 //     --stats            print a (stats ...) summary line on exit
 //     --max-cycles N     budget ceiling (default 16)
 //     --min-cycles N     budget floor (default 1)
-//     --binary-search / --portfolio / --incremental
+//     --binary-search / --portfolio
 //                        budget-ladder strategy knobs (as in `denali`)
 //     --search-threads N portfolio worker count
 //     --match-budget N / --match-phases / --match-threads N /
@@ -207,10 +207,6 @@ int main(int argc, char **argv) {
       Opts.Search.Strategy = codegen::SearchStrategy::Binary;
     } else if (std::strcmp(Arg, "--portfolio") == 0) {
       Opts.Search.Strategy = codegen::SearchStrategy::Portfolio;
-    } else if (std::strcmp(Arg, "--incremental") == 0) {
-      Opts.Search.Incremental = true;
-      if (Opts.Search.Strategy == codegen::SearchStrategy::Linear)
-        Opts.Search.Strategy = codegen::SearchStrategy::Incremental;
     } else if (const char *V =
                    flagValue(Arg, "--search-threads", I, argc, argv)) {
       Opts.Search.Threads = static_cast<unsigned>(std::atoi(V));
