@@ -1,8 +1,13 @@
 //===- tests/DriverTests.cpp - end-to-end Superoptimizer tests ------------===//
 
 #include "driver/Superoptimizer.h"
+#include "sat/Dimacs.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace denali;
 using namespace denali::driver;
@@ -303,6 +308,41 @@ TEST(Driver, CnfDumpWritesFiles) {
   ASSERT_EQ(std::fread(Header, 1, 5, F), 5u);
   std::fclose(F);
   EXPECT_EQ(std::string(Header), "p cnf");
+}
+
+TEST(Driver, CnfDumpsAreTheLadderAsAdded) {
+  // Each probe's dump holds the clauses added to the ladder so far plus the
+  // budget assumption as a unit, and an independent solver gives the
+  // probe's own answer on it.
+  driver::Options Opts;
+  Opts.Search.DumpCnfDir = ::testing::TempDir();
+  driver::Superoptimizer Opt(Opts);
+  ir::Context &Ctx = Opt.context();
+  ir::TermId X = Ctx.Terms.makeVar("x");
+  ir::TermId Goal = Ctx.Terms.makeBuiltin(
+      ir::Builtin::Add64,
+      {Ctx.Terms.makeBuiltin(ir::Builtin::Mul64, {X, Ctx.Terms.makeVar("y")}),
+       Ctx.Terms.makeConst(100000)});
+  driver::GmaResult R = Opt.compileGoals("ladder", {{"res", Goal}});
+  ASSERT_TRUE(R.ok()) << R.Error;
+  ASSERT_GE(R.Search.Probes.size(), 2u);
+  uint64_t Added = 0;
+  for (const codegen::Probe &P : R.Search.Probes) {
+    Added += P.Stats.Clauses;
+    std::string Path = strFormat("%s/ladder.K%u.cnf",
+                                 ::testing::TempDir().c_str(), P.Cycles);
+    std::ifstream In(Path);
+    ASSERT_TRUE(In) << "expected " << Path;
+    std::stringstream Text;
+    Text << In.rdbuf();
+    sat::Cnf F;
+    std::string Err;
+    ASSERT_TRUE(sat::parseDimacs(Text.str(), F, &Err)) << Err;
+    EXPECT_EQ(F.Clauses.size(), Added + 1) << Path;
+    sat::Solver S;
+    F.loadInto(S);
+    EXPECT_EQ(S.solve(), P.Result) << Path;
+  }
 }
 
 } // namespace
