@@ -96,7 +96,9 @@ Elaborator denali::match::powerOfTwoElaborator() {
     for (ENodeId N : Muls) {
       if (!G.node(N).Alive)
         continue;
-      for (ClassId Child : G.node(N).Children) {
+      // A copy: addNode below may reallocate the node table.
+      const std::vector<ClassId> Children = G.node(N).Children;
+      for (ClassId Child : Children) {
         std::optional<uint64_t> K = G.classConstant(Child);
         if (!K || !isPowerOfTwo(*K) || *K < 2)
           continue;
@@ -118,15 +120,16 @@ Elaborator denali::match::byteMaskElaborator() {
     for (ENodeId N : Ands) {
       if (!G.node(N).Alive)
         continue;
-      const ENode &Node = G.node(N);
+      // A copy: addNode below may reallocate the node table.
+      const std::vector<ClassId> Children = G.node(N).Children;
       for (int ConstIdx = 0; ConstIdx < 2; ++ConstIdx) {
-        std::optional<uint64_t> K = G.classConstant(Node.Children[ConstIdx]);
+        std::optional<uint64_t> K = G.classConstant(Children[ConstIdx]);
         if (!K || *K == 0)
           continue;
         std::optional<uint64_t> Mask = byteRegularMask(*K);
         if (!Mask)
           continue;
-        ClassId Other = Node.Children[1 - ConstIdx];
+        ClassId Other = Children[1 - ConstIdx];
         ClassId Zap = G.addNode(ZapnotOp, {G.find(Other),
                                            G.addConst(*Mask)});
         G.assertEqual(Zap, G.classOf(N));
