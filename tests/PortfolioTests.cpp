@@ -270,9 +270,9 @@ TEST(PortfolioDriver, StrategiesAgreeOnGoalTerms) {
 
 //===----------------------------------------------------------------------===
 // Differential GmaGen fuzzing: concurrent probe execution must not change
-// the minimal K or the oracle verdict on seeded random GMAs (the same
-// seeds the incremental_tests differential uses — the two suites together
-// pin all four strategies to one answer per seed).
+// the minimal K or the oracle verdict on seeded random GMAs (the seeds
+// incremental_tests' generated slices start from — the two suites together
+// pin all three strategies to one answer per seed).
 //===----------------------------------------------------------------------===
 
 class PortfolioDifferential : public ::testing::TestWithParam<unsigned> {};
