@@ -65,7 +65,8 @@ static void BM_SaturateFigure2(benchmark::State &State) {
     ClassId Goal =
         G.addNode(Ctx.Ops.builtin(Builtin::Add64), {Mul, G.addConst(1)});
     benchmark::DoNotOptimize(Goal);
-    match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M(Axioms);
     for (match::Elaborator &E : match::standardElaborators())
       M.addElaborator(std::move(E));
     match::MatchStats Stats = M.saturate(G);
@@ -86,7 +87,8 @@ static void BM_SaturateAcSum(benchmark::State &State) {
           Ctx.Ops.builtin(Builtin::Add64),
           {Sum,
            G.addNode(Ctx.Ops.makeVariable("t" + std::to_string(I)), {})});
-    match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M(Axioms);
     match::MatchLimits Limits;
     Limits.MaxNodes = 20000;
     match::MatchStats Stats = M.saturate(G, Limits);

@@ -28,8 +28,8 @@ using namespace denali::bench;
 using namespace denali::egraph;
 using denali::ir::Builtin;
 
-static match::Matcher makeMatcher(ir::Context &Ctx) {
-  match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+static match::Matcher makeMatcher(const std::vector<match::Axiom> &Axioms) {
+  match::Matcher M(Axioms);
   for (match::Elaborator &E : match::standardElaborators())
     M.addElaborator(std::move(E));
   return M;
@@ -79,7 +79,8 @@ int main() {
         G.addNode(Ctx.Ops.builtin(Builtin::Add64), {Mul, G.addConst(1)});
     size_t InitialNodes = G.numNodes();
     Timer T;
-    match::Matcher M = makeMatcher(Ctx);
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M = makeMatcher(Axioms);
     match::MatchStats Stats = M.saturate(G);
     std::printf("initial term DAG: %zu nodes (Figure 2a)\n", InitialNodes);
     std::printf("quiescent E-graph: %zu nodes, %zu classes, %u rounds, "
@@ -108,7 +109,8 @@ int main() {
           {Sum, G.addNode(Ctx.Ops.makeVariable("a" + std::to_string(I)),
                           {})});
     Timer T;
-    match::Matcher M = makeMatcher(Ctx);
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M = makeMatcher(Axioms);
     match::MatchLimits Limits;
     Limits.MaxNodes = 50000;
     match::MatchStats Stats = M.saturate(G, Limits);
@@ -142,7 +144,7 @@ int main() {
           Filtered.push_back(std::move(A));
       Axioms = std::move(Filtered);
     }
-    match::Matcher M(std::move(Axioms));
+    match::Matcher M(Axioms);
     for (match::Elaborator &E : match::standardElaborators())
       M.addElaborator(std::move(E));
     M.saturate(G);

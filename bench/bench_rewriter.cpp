@@ -113,7 +113,8 @@ int main() {
     egraph::EGraph G(Ctx);
     egraph::ClassId GoalClass = G.addTerm(Goal);
     {
-      match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+      const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+      match::Matcher M(Axioms);
       for (match::Elaborator &E : match::standardElaborators())
         M.addElaborator(std::move(E));
       match::MatchLimits Limits;

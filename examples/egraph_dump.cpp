@@ -46,7 +46,8 @@ int main() {
   std::printf("wrote fig2_initial.dot (%zu nodes, %zu classes)\n",
               G.numNodes(), G.numClasses());
 
-  match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+  const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+  match::Matcher M(Axioms);
   for (match::Elaborator &E : match::standardElaborators())
     M.addElaborator(std::move(E));
   match::MatchStats Stats = M.saturate(G);

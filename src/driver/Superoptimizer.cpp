@@ -50,11 +50,11 @@ std::string denali::driver::matchOptionsFingerprint(const Options &Opts) {
   const match::MatchLimits &M = Opts.Matching;
   std::string F = strFormat(
       "model=%d;guard=%d;prov=%d;rounds=%u;nodes=%zu;inst=%zu;budget=%llu;"
-      "phased=%d;eager=%d;seen=%zu;adapt=%d;disp=%lld;lat=%d",
+      "phased=%d;eager=%d;adapt=%d;disp=%lld;lat=%d",
       static_cast<int>(Opts.Model), Opts.EnforceGuard ? 1 : 0,
       Opts.Explain ? 1 : 0, M.MaxRounds, M.MaxNodes, M.MaxInstancesPerRound,
       (unsigned long long)M.MatchBudget, M.Phased ? 1 : 0,
-      M.EagerRebuild ? 1 : 0, M.SeenCap, Opts.MatchAdaptive ? 1 : 0,
+      M.EagerRebuild ? 1 : 0, Opts.MatchAdaptive ? 1 : 0,
       (long long)Opts.Universe.MaxDisp, Opts.Universe.TestLatencyDelta);
   // Global latency injections (a test-only knob, but soundness first):
   // include them sorted so the fingerprint is deterministic.

@@ -327,7 +327,8 @@ protected:
   }
 
   void saturate() {
-    match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M(Axioms);
     for (match::Elaborator &E : match::standardElaborators())
       M.addElaborator(std::move(E));
     match::MatchLimits Limits;

@@ -33,7 +33,8 @@ protected:
   }
 
   void saturate(size_t MaxNodes = 30000) {
-    match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    match::Matcher M(Axioms);
     for (match::Elaborator &E : match::standardElaborators())
       M.addElaborator(std::move(E));
     match::MatchLimits Limits;
@@ -378,7 +379,8 @@ TEST_P(PipelineDifferential, RandomTerms) {
 
   EGraph G(Ctx);
   ClassId Goal = G.addTerm(GoalTerm);
-  match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+  const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+  match::Matcher M(Axioms);
   for (match::Elaborator &E : match::standardElaborators())
     M.addElaborator(std::move(E));
   match::MatchLimits Limits;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace denali;
@@ -288,6 +289,189 @@ TEST_F(EGraphTest, NumNodesTracksLiveOnly) {
   EXPECT_EQ(G.numNodes(), Before + 2);
   G.assertEqual(X, Y); // neg(x) and neg(y) become congruent; one dies.
   EXPECT_EQ(G.numNodes(), Before + 1);
+}
+
+//===----------------------------------------------------------------------===
+// The change log: the nodes through which a mutation can give a pattern a
+// new match (what semi-naive matching walks from).
+//===----------------------------------------------------------------------===
+
+class ChangeLogTest : public EGraphTest {
+protected:
+  void SetUp() override {
+    G.setRebuildMode(RebuildMode::Deferred);
+    G.setChangeLogging(true);
+  }
+  /// The one live node of class \p C.
+  ENodeId nodeOf(ClassId C) {
+    std::vector<ENodeId> Nodes = G.classNodes(C);
+    EXPECT_EQ(Nodes.size(), 1u);
+    return Nodes.front();
+  }
+  bool logged(ENodeId N) {
+    const std::vector<ENodeId> &Log = G.changeLog();
+    return std::find(Log.begin(), Log.end(), N) != Log.end();
+  }
+};
+
+TEST_F(EGraphTest, ChangeLogIsOffByDefault) {
+  app(Builtin::Add64, {v("x"), c(1)});
+  EXPECT_TRUE(G.changeLog().empty());
+}
+
+TEST_F(ChangeLogTest, NewNodeIsLogged) {
+  ClassId X = v("x");
+  ENodeId XN = nodeOf(X);
+  EXPECT_TRUE(logged(XN));
+  G.clearChangeLog();
+  ClassId Neg = app(Builtin::Neg64, {X});
+  EXPECT_TRUE(logged(nodeOf(Neg)));
+  EXPECT_FALSE(logged(XN));
+  // Finding an existing node is no change.
+  G.clearChangeLog();
+  app(Builtin::Neg64, {X});
+  EXPECT_TRUE(G.changeLog().empty());
+}
+
+TEST_F(ChangeLogTest, UnionLogsTheLosingClassMembers) {
+  // x's class is the larger one, so it survives and y's class loses.
+  ClassId X = v("x"), X2 = v("x2"), Y = v("y");
+  G.assertEqual(X, X2);
+  G.rebuild();
+  G.clearChangeLog();
+  ENodeId YN = nodeOf(Y);
+  G.assertEqual(X, Y);
+  ASSERT_EQ(G.find(Y), G.find(X));
+  EXPECT_TRUE(logged(YN));
+  for (ENodeId N : G.classNodes(X))
+    EXPECT_EQ(logged(N), N == YN) << N;
+}
+
+TEST_F(ChangeLogTest, RepairLogsParentsWhoseChildIdsItRewrites) {
+  ClassId X = v("x"), X2 = v("x2"), Y = v("y");
+  G.assertEqual(X, X2);
+  ClassId NotX = app(Builtin::Not64, {X});
+  ClassId NegY = app(Builtin::Neg64, {Y});
+  G.rebuild();
+  ENodeId NotXN = nodeOf(NotX), NegYN = nodeOf(NegY);
+  G.clearChangeLog();
+  G.assertEqual(X, Y); // y's class loses: its parents' child ids go stale.
+  EXPECT_FALSE(logged(NegYN));
+  G.rebuild();
+  // The repair rewrote neg(y) to neg(x); x's parents kept their child ids.
+  EXPECT_EQ(G.node(NegYN).Children[0], G.find(X));
+  EXPECT_TRUE(logged(NegYN));
+  EXPECT_FALSE(logged(NotXN));
+}
+
+TEST_F(ChangeLogTest, ClassGainingAConstantLogsItsParents) {
+  // x's class is the larger one and survives; the constant's class loses
+  // and hands x's class its constant, so neg(x) can now match a constant
+  // pattern with unchanged child ids.
+  ClassId X = v("x"), X2 = v("x2");
+  G.assertEqual(X, X2);
+  ClassId NegX = app(Builtin::Neg64, {X});
+  ClassId Five = c(5);
+  G.rebuild();
+  G.clearChangeLog();
+  G.assertEqual(X, Five);
+  ASSERT_EQ(G.find(Five), G.find(X));
+  EXPECT_TRUE(logged(nodeOf(NegX)));
+}
+
+TEST_F(EGraphTest, Figure2UnionLogsANodeOfTheMatchItCreates) {
+  // k * 2**n cannot match reg6 * 4 until 4 = 2**2. Without constant
+  // folding (which would unite them as soon as 2**2 exists) that union is
+  // the only change, and the match it creates, rooted at the multiply and
+  // running through 2**2, must use a logged node.
+  EGraph H(Ctx, /*FoldConstants=*/false);
+  H.setRebuildMode(RebuildMode::Deferred);
+  auto Op = [&](Builtin B) { return Ctx.Ops.builtin(B); };
+  ClassId Four = H.addConst(4);
+  ClassId Mul =
+      H.addNode(Op(Builtin::Mul64), {H.addNode(Ctx.Ops.makeVariable("reg6"),
+                                               {}),
+                                     Four});
+  ClassId Sum = H.addNode(Op(Builtin::Add64), {Mul, H.addConst(1)});
+  ClassId Pow = H.addNode(Op(Builtin::Pow), {H.addConst(2), H.addConst(2)});
+  H.rebuild();
+  ASSERT_FALSE(H.sameClass(Pow, Four));
+  ENodeId MulN = H.classNodes(Mul).front();
+  ENodeId PowN = H.classNodes(Pow).front();
+  ENodeId SumN = H.classNodes(Sum).front();
+  H.setChangeLogging(true);
+  H.assertEqual(Pow, Four);
+  H.rebuild();
+  const std::vector<ENodeId> &Log = H.changeLog();
+  auto Logged = [&](ENodeId N) {
+    return std::find(Log.begin(), Log.end(), N) != Log.end();
+  };
+  EXPECT_TRUE(Logged(MulN) || Logged(PowN));
+  // The sum's child ids and its children's classes are unchanged.
+  EXPECT_FALSE(Logged(SumN));
+}
+
+TEST_F(ChangeLogTest, SwitchingLoggingEmptiesTheLog) {
+  v("x");
+  EXPECT_FALSE(G.changeLog().empty());
+  G.setChangeLogging(false);
+  EXPECT_TRUE(G.changeLog().empty());
+  v("y");
+  EXPECT_TRUE(G.changeLog().empty());
+}
+
+TEST_F(EGraphTest, RepairKeepsParentsOfAClassItRetires) {
+  // Repairing x's class finds g(y) congruent to g(x), a member of x's own
+  // class, and the union that follows retires x's class into the larger
+  // class of g(y). The parent h(y), which the same repair rewrote to
+  // h(x), must move to the surviving class: a later union there has to
+  // reach it through the parent list to find h(y) congruent to h(w).
+  ir::OpId GOp = Ctx.Ops.declareOp("g", 1);
+  ir::OpId HOp = Ctx.Ops.declareOp("h", 1);
+  ClassId X = v("x"), Y = v("y"), W = v("w");
+  ClassId Gx = G.addNode(GOp, {X});
+  G.assertEqual(X, Gx);
+  ClassId Gy = G.addNode(GOp, {Y});
+  G.assertEqual(Gy, v("z1"));
+  G.assertEqual(Gy, v("z2"));
+  G.assertEqual(Gy, v("z3"));
+  ClassId Hy = G.addNode(HOp, {Y});
+  ClassId Hw = G.addNode(HOp, {W});
+  G.assertEqual(X, Y);
+  ASSERT_TRUE(G.sameClass(X, Gy));
+  bool Listed = false;
+  G.forEachParent(X, [&](ENodeId N) { Listed |= G.classOf(N) == G.find(Hy); });
+  EXPECT_TRUE(Listed);
+  G.assertEqual(W, Gy);
+  EXPECT_TRUE(G.sameClass(Hy, Hw));
+}
+
+TEST_F(EGraphTest, LookupFindsExistingNodesWithoutAdding) {
+  G.setRebuildMode(RebuildMode::Deferred);
+  ClassId X = v("x"), Y = v("y");
+  ClassId Add = app(Builtin::Add64, {X, c(1)});
+  size_t Nodes = G.numNodes();
+  uint64_t Version = G.version();
+  ir::OpId AddOp = Ctx.Ops.builtin(Builtin::Add64);
+  ClassId One = *G.lookupConst(1);
+  ClassId Args[] = {X, One};
+  EXPECT_EQ(G.lookupNode(AddOp, Args, 2), G.find(Add));
+  EXPECT_FALSE(G.lookupConst(2).has_value());
+  ClassId Other[] = {Y, One};
+  EXPECT_FALSE(G.lookupNode(AddOp, Other, 2).has_value());
+  EXPECT_EQ(G.numNodes(), Nodes);
+  EXPECT_EQ(G.version(), Version);
+  // Children are canonicalized, exactly as addNode does: after x = y the
+  // lookup through y finds add(x, 1) only if x's class survived (its key
+  // is not stale), and addNode agrees either way.
+  G.assertEqual(X, Y);
+  std::optional<ClassId> Found = G.lookupNode(AddOp, Other, 2);
+  size_t Before = G.numNodes();
+  ClassId Added = G.addNode(AddOp, {Y, One});
+  EXPECT_EQ(Found.has_value(), G.numNodes() == Before);
+  if (Found) {
+    EXPECT_EQ(*Found, Added);
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -167,9 +167,10 @@ class SaturationTest : public ::testing::Test {
 protected:
   ir::Context Ctx;
   EGraph G{Ctx};
+  const std::vector<Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
 
   Matcher makeMatcher() {
-    Matcher M(axioms::loadBuiltinAxioms(Ctx));
+    Matcher M(Axioms);
     for (Elaborator &E : standardElaborators())
       M.addElaborator(std::move(E));
     return M;
@@ -326,7 +327,7 @@ TEST_F(SaturationTest, CarryAxiomsFromProgram) {
   std::vector<Axiom> All = axioms::loadBuiltinAxioms(Ctx);
   for (Axiom &A : *ProgAxioms)
     All.push_back(std::move(A));
-  Matcher M{std::move(All)};
+  Matcher M{All};
   for (Elaborator &E : standardElaborators())
     M.addElaborator(std::move(E));
 
@@ -350,7 +351,7 @@ TEST_F(SaturationTest, GroundAxiom) {
   std::vector<Axiom> All = axioms::loadBuiltinAxioms(Ctx);
   for (Axiom &A : *Ax)
     All.push_back(std::move(A));
-  Matcher M{std::move(All)};
+  Matcher M{All};
   M.saturate(G);
   // x + reg7 collapses to x by the identity axiom.
   EXPECT_TRUE(G.sameClass(T, v("x")));
@@ -405,7 +406,8 @@ TEST_P(SaturationSoundness, RandomDags) {
       Args.push_back(Pool[Rng() % Pool.size()]);
     Pool.push_back(G.addNode(Ctx.Ops.builtin(B), Args));
   }
-  Matcher M(axioms::loadBuiltinAxioms(Ctx));
+  const std::vector<Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+  Matcher M(Axioms);
   for (Elaborator &E : standardElaborators())
     M.addElaborator(std::move(E));
   MatchLimits Limits;

@@ -28,6 +28,7 @@
 #include "match/Elaborate.h"
 #include "match/Matcher.h"
 #include "obs/ProfileLedger.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,21 @@ std::vector<ir::TermId> figure2Seeds(ir::Context &Ctx) {
                                 {Mul, Ctx.Terms.makeConst(1)})};
 }
 
+/// Figure-2-style goals over distinct variables (the E20 input): a finite
+/// closure like figure2Seeds, with enough alike nodes that a budget of 2
+/// raw matches per axiom-round overflows.
+std::vector<ir::TermId> figure2Groups(ir::Context &Ctx, unsigned Groups) {
+  std::vector<ir::TermId> Seeds;
+  for (unsigned I = 0; I < Groups; ++I) {
+    ir::TermId V = Ctx.Terms.makeVar(strFormat("x%u", I));
+    ir::TermId Mul = Ctx.Terms.makeBuiltin(
+        Builtin::Mul64, {V, Ctx.Terms.makeConst(I % 2 ? 8 : 4)});
+    Seeds.push_back(Ctx.Terms.makeBuiltin(
+        Builtin::Add64, {Mul, Ctx.Terms.makeConst(1 + I % 3)}));
+  }
+  return Seeds;
+}
+
 /// One saturation run over a fresh graph; returns the stats and fills the
 /// seed-root partition.
 match::MatchStats runSat(ir::Context &Ctx,
@@ -74,7 +90,8 @@ match::MatchStats runSat(ir::Context &Ctx,
   std::vector<ClassId> Roots;
   for (ir::TermId T : Seeds)
     Roots.push_back(G.addTerm(T));
-  match::Matcher M(axioms::loadBuiltinAxioms(Ctx));
+  const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+  match::Matcher M(Axioms);
   for (match::Elaborator &E : match::standardElaborators())
     M.addElaborator(std::move(E));
   match::MatchStats S = M.saturate(G, Limits);
@@ -286,7 +303,7 @@ TEST(ProfileAttribution, LedgerIdPinsIndexAgainstNameCollisions) {
 
 TEST(AdaptiveSchedule, WarmLedgerReachesBlindClosureWithFewerMatches) {
   ir::Context Ctx;
-  std::vector<ir::TermId> Seeds = figure2Seeds(Ctx);
+  std::vector<ir::TermId> Seeds = figure2Groups(Ctx, 4);
 
   // Blind: tight budget, backoff has to discover every axiom's appetite.
   match::MatchLimits Blind;

@@ -448,10 +448,6 @@ int egraphMetricsReport(const char *Path, const std::string &Text) {
               C("match.sched.budget_skips"));
   std::printf("  %-22s %12llu\n", "phase advances",
               C("match.sched.phase_advances"));
-  std::printf("  %-22s %12llu\n", "seen-set hits",
-              C("match.sched.seen_hits"));
-  std::printf("  %-22s %12llu\n", "seen-set evictions",
-              C("match.sched.seen_evictions"));
   return 0;
 }
 
