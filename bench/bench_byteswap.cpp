@@ -65,9 +65,8 @@ int main() {
   {
     driver::Superoptimizer Opt;
     Opt.options().Search.MaxCycles = 8;
-    // The per-K reference ladder: each probe is the whole budget-K instance.
-    Opt.options().Search.Strategy = codegen::SearchStrategy::Portfolio;
-    Opt.options().Search.Threads = 1;
+    // The per-K reference: each probe is the whole budget-K instance.
+    Opt.options().Search.FreshPerK = true;
     driver::CompileResult R = Opt.compileSource(byteswapSource(4));
     if (!R.ok() || !R.Gmas[0].ok())
       return 1;

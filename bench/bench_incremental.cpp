@@ -2,9 +2,9 @@
 //
 // Fresh-vs-incremental comparison on the byteswap (Figure 3) and packet
 // checksum (section 8) families. The `fresh` arm is the per-K reference
-// ladder (a one-thread portfolio): every budget is a fresh instance that
+// (SearchOptions::FreshPerK): every budget is a fresh instance that
 // re-encodes and re-learns from scratch. The `incremental` arm is the
-// default linear search, whose one solver gains a cycle layer per budget
+// default search, whose one solver gains a cycle layer per budget
 // and probes each budget under an assumption, carrying learnt clauses,
 // activities, and saved phases across probes. The harness verifies the
 // evidence contract — identical minimal K and identical per-budget
@@ -47,12 +47,7 @@ codegen::SearchResult runOne(const std::string &Source, unsigned MaxCycles,
                              bool Incremental, bool *Ok) {
   driver::Superoptimizer Opt;
   Opt.options().Search.MaxCycles = MaxCycles;
-  if (Incremental) {
-    Opt.options().Search.Strategy = codegen::SearchStrategy::Linear;
-  } else {
-    Opt.options().Search.Strategy = codegen::SearchStrategy::Portfolio;
-    Opt.options().Search.Threads = 1;
-  }
+  Opt.options().Search.FreshPerK = !Incremental;
   driver::CompileResult R = Opt.compileSource(Source);
   *Ok = R.ok() && !R.Gmas.empty() && R.Gmas[0].ok();
   if (!*Ok) {

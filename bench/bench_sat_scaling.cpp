@@ -13,7 +13,6 @@
 #include "BenchUtil.h"
 #include "driver/Superoptimizer.h"
 #include "gma/GMA.h"
-#include "support/Timer.h"
 
 #include <cstdio>
 
@@ -27,10 +26,9 @@ static void sweep(const char *Title, sat::AtMostOneStyle Style,
               "result", "encode-s", "solve-s");
   driver::Superoptimizer Opt;
   Opt.options().Search.MaxCycles = 8;
-  // The per-K reference ladder: each probe reports its whole budget-K
-  // instance, not the layers a shared solver gained.
-  Opt.options().Search.Strategy = codegen::SearchStrategy::Portfolio;
-  Opt.options().Search.Threads = 1;
+  // The per-K reference: each probe reports its whole budget-K instance,
+  // not the layers a shared solver gained.
+  Opt.options().Search.FreshPerK = true;
   Opt.options().Search.Encoding.AmoStyle = Style;
   Opt.options().Search.Encoding.SingleCluster = SingleCluster;
   driver::CompileResult R = Opt.compileSource(byteswapSource(4));
@@ -80,23 +78,6 @@ int main() {
       std::printf("(each 'unsat' row is an independently RUP-checked "
                   "certificate that K cycles are impossible)\n");
     }
-  }
-
-  banner("E9b", "linear vs binary budget search (probe counts)");
-  for (auto Strategy : {codegen::SearchStrategy::Linear,
-                        codegen::SearchStrategy::Binary}) {
-    driver::Superoptimizer Opt;
-    Opt.options().Search.MaxCycles = 10;
-    Opt.options().Search.Strategy = Strategy;
-    Timer T;
-    driver::CompileResult R = Opt.compileSource(byteswapSource(4));
-    if (!R.ok() || !R.Gmas[0].ok())
-      continue;
-    std::printf("  %-8s: %zu probes, optimum %u cycles, %.2f s total\n",
-                Strategy == codegen::SearchStrategy::Linear ? "linear"
-                                                            : "binary",
-                R.Gmas[0].Search.Probes.size(), R.Gmas[0].Search.Cycles,
-                T.seconds());
   }
   return 0;
 }

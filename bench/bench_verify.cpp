@@ -1,12 +1,12 @@
 //===- bench/bench_verify.cpp - E13: differential-harness throughput ------===//
 //
 // The EXPERIMENTS.md E13 harness: measures how fast the randomized
-// differential-verification loop (GmaGen -> pipeline -> oracle) iterates
-// under each search strategy, and how quickly the oracle catches the
-// planted encoder-latency bug (UniverseOptions::TestLatencyDelta = -2).
+// differential-verification loop (GmaGen -> pipeline -> oracle) iterates,
+// and how quickly the oracle catches the planted encoder-latency bug
+// (UniverseOptions::TestLatencyDelta = -2).
 //
 //   bench_verify [--smoke]
-//     --smoke  fewer GMAs per strategy (CI perf-smoke gate)
+//     --smoke  fewer GMAs (CI perf-smoke gate)
 //
 // Gates correctness as well as reporting numbers: any non-benign oracle
 // verdict in the clean runs, or a fault run that completes *without* a
@@ -40,12 +40,9 @@ struct Row {
   double WallSeconds = 0;
 };
 
-driver::Superoptimizer makeOpt(codegen::SearchStrategy S, int LatencyDelta,
-                               bool Explain = false) {
+driver::Superoptimizer makeOpt(int LatencyDelta, bool Explain = false) {
   driver::Options Opts;
-  Opts.Search.Strategy = S;
   Opts.Search.MaxCycles = 12;
-  Opts.Search.Threads = 4;
   Opts.Matching.MaxNodes = 8000;
   Opts.Matching.MaxRounds = 8;
   Opts.Universe.TestLatencyDelta = LatencyDelta;
@@ -63,11 +60,6 @@ int main(int argc, char **argv) {
 
   const uint64_t Seed = 1;
   const unsigned Count = Smoke ? 40 : 150;
-  const std::pair<const char *, codegen::SearchStrategy> Strategies[] = {
-      {"linear", codegen::SearchStrategy::Linear},
-      {"binary", codegen::SearchStrategy::Binary},
-      {"portfolio", codegen::SearchStrategy::Portfolio},
-  };
 
   banner("E13", Smoke ? "differential harness throughput (smoke)"
                       : "differential harness throughput");
@@ -76,8 +68,11 @@ int main(int argc, char **argv) {
 
   bool AllOk = true;
   std::vector<Row> Rows;
-  for (auto [Name, S] : Strategies) {
-    driver::Superoptimizer Opt = makeOpt(S, 0);
+  {
+    // The record keeps its "strategy" identity field, which bench_compare
+    // matches against the committed baseline.
+    const char *Name = "linear";
+    driver::Superoptimizer Opt = makeOpt(0);
     verify::GmaGen Gen(Opt.context(), Seed);
     Row R;
     R.Strategy = Name;
@@ -108,8 +103,7 @@ int main(int argc, char **argv) {
   // first emitted load or multiply).
   unsigned DetectedAfter = 0;
   {
-    driver::Superoptimizer Opt =
-        makeOpt(codegen::SearchStrategy::Linear, -2);
+    driver::Superoptimizer Opt = makeOpt(-2);
     verify::GmaGen Gen(Opt.context(), Seed);
     for (unsigned I = 0; I < Count; ++I) {
       verify::OracleVerdict V = verify::compileAndCheck(Opt, Gen.next());
@@ -146,8 +140,7 @@ int main(int argc, char **argv) {
         obs::configure(C);
         obs::clearEvents();
         obs::Registry::global().resetAll();
-        driver::Superoptimizer Opt =
-            makeOpt(codegen::SearchStrategy::Linear, 0);
+        driver::Superoptimizer Opt = makeOpt(0);
         verify::GmaGen Gen(Opt.context(), Seed);
         Timer T;
         for (unsigned I = 0; I < OverheadCount; ++I)
@@ -179,8 +172,7 @@ int main(int argc, char **argv) {
     const int OverheadReps = 3;
     for (int Rep = 0; Rep < OverheadReps; ++Rep)
       for (int Phase = 0; Phase < 2; ++Phase) {
-        driver::Superoptimizer Opt =
-            makeOpt(codegen::SearchStrategy::Linear, 0, Phase == 1);
+        driver::Superoptimizer Opt = makeOpt(0, Phase == 1);
         verify::GmaGen Gen(Opt.context(), Seed);
         Timer T;
         for (unsigned I = 0; I < OverheadCount; ++I)

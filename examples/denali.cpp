@@ -6,11 +6,6 @@
 //   denali [options] file.dnl
 //     --machine NAME     target machine backend: alpha (default) or rv64
 //     --max-cycles N     budget ceiling (default 16)
-//     --binary-search    probe budgets by binary search (default linear)
-//     --portfolio        probe a window of budgets concurrently, cancelling
-//                        probes made irrelevant by a SAT answer
-//     --threads N        portfolio worker count / window width
-//                        (default: hardware concurrency)
 //     --match-budget N   per-axiom, per-round raw-match budget; an axiom
 //                        that overflows sits out a round and returns with
 //                        double the budget (0 = unlimited, the default)
@@ -102,12 +97,6 @@ int main(int argc, char **argv) {
       Opts.MachineName = V;
     } else if (!std::strcmp(argv[I], "--max-cycles") && I + 1 < argc) {
       Opts.Search.MaxCycles = static_cast<unsigned>(std::atoi(argv[++I]));
-    } else if (!std::strcmp(argv[I], "--binary-search")) {
-      Opts.Search.Strategy = codegen::SearchStrategy::Binary;
-    } else if (!std::strcmp(argv[I], "--portfolio")) {
-      Opts.Search.Strategy = codegen::SearchStrategy::Portfolio;
-    } else if (!std::strcmp(argv[I], "--threads") && I + 1 < argc) {
-      Opts.Search.Threads = static_cast<unsigned>(std::atoi(argv[++I]));
     } else if (const char *V =
                    flagValue(argv[I], "--match-budget", I, argc, argv)) {
       Opts.Matching.MatchBudget =
@@ -156,8 +145,6 @@ int main(int argc, char **argv) {
   if (!Path) {
     std::fprintf(stderr,
                  "usage: denali [--machine NAME] [--max-cycles N] "
-                 "[--binary-search] "
-                 "[--portfolio] [--threads N] "
                  "[--match-budget N] [--match-phases] [--match-threads N] "
                  "[--match-eager-rebuild] [--profile-ledger=FILE] "
                  "[--match-adaptive] [--show-nops] "
@@ -223,10 +210,6 @@ int main(int argc, char **argv) {
                   alpha::maxLiveRegisters(G.Search.Program));
       for (const codegen::Probe &P : G.Search.Probes)
         std::printf(" %s", codegen::describeProbe(P).c_str());
-      if (G.Search.CancelledProbes)
-        std::printf(" (%zu cancelled, wall %.2fs, cpu %.2fs)",
-                    G.Search.CancelledProbes, G.Search.WallSeconds,
-                    G.Search.CpuSeconds);
       std::printf("\n");
     }
     if (Opts.WhyUnsat && !G.WhyUnsatText.empty())

@@ -5,18 +5,14 @@
 /// budgets K, submitting "no K-cycle program computes the goals" to the SAT
 /// solver. UNSAT proves the lower bound K+1; SAT yields the program.
 ///
-/// Linear and binary search drive one solver per compile (the ladder): a
-/// probe at K appends the cycle layers the solver still lacks and solves
-/// under the budget assumption ¬E_K (see Encoder), so every layer is
-/// encoded once and learnt clauses carry from probe to probe. The paper
-/// uses binary search but notes probe costs are far from constant; that
-/// observation is why a third, parallel-portfolio strategy is provided:
-/// each probe is a fresh per-K instance, so a window of budgets [K, K+W)
-/// runs concurrently on a worker pool, with probes made irrelevant by a
-/// SAT answer at a smaller budget cancelled cooperatively. With one thread
-/// the portfolio is the fresh per-K reference ladder. All strategies pin
-/// the same minimal K with the same SAT/UNSAT evidence; every probe —
-/// cancelled ones included — is recorded.
+/// Budgets are probed upward from MinCycles on one solver per compile (the
+/// ladder): a probe at K appends the cycle layers the solver still lacks
+/// and solves under the budget assumption ¬E_K (see Encoder), so every
+/// layer is encoded once and learnt clauses carry from probe to probe. The
+/// paper uses binary search but notes probe costs are far from constant;
+/// measured on the paper's kernels, neither binary search nor a parallel
+/// portfolio of budgets beat the ladder (EXPERIMENTS.md E23). The fresh
+/// per-K instance stays as the reference the tests hold the ladder to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,27 +21,25 @@
 
 #include "codegen/Encoder.h"
 
-#include <optional>
-
 namespace denali {
 namespace codegen {
 
-enum class SearchStrategy { Linear, Binary, Portfolio };
-
 struct SearchOptions {
-  SearchStrategy Strategy = SearchStrategy::Linear;
+  /// Lowest budget probed; values below 1 are treated as 1.
   unsigned MinCycles = 1;
   unsigned MaxCycles = 24;
-  /// Portfolio strategy: number of worker threads (and the width of the
-  /// concurrently probed budget window). 0 = hardware concurrency.
-  unsigned Threads = 0;
+  /// Probe every budget on a fresh per-K instance instead of the ladder.
+  /// This is the reference the ladder is checked against; it may return a
+  /// different program at the same K.
+  bool FreshPerK = false;
   /// Per-probe conflict budget (0 = unlimited).
   uint64_t ConflictBudget = 0;
   /// If nonempty, each probe's CNF is written to
   /// <DumpCnfDir>/<name>.K<cycles>.cnf in DIMACS format (for cross-checking
   /// with external solvers — the paper swapped SAT solvers freely): the
   /// clauses on the probe's solver as they were added, with the budget
-  /// assumption as the final unit clause.
+  /// assumption as the final unit clause. A dump that cannot be written
+  /// ends the search with an error naming the file.
   std::string DumpCnfDir;
   /// Certify refutations: every UNSAT probe logs a clausal proof which is
   /// re-validated by the independent RUP checker, upgrading "the solver
@@ -57,8 +51,8 @@ struct SearchOptions {
   /// After the ladder pins the minimal feasible K with K > MinCycles, run
   /// one extra probe at K-1 on a fresh per-K instance with clause tagging
   /// and core tracking enabled, and report which clause families refuted
-  /// it (SearchResult::WhyUnsatTags). Uniform across strategies, and the
-  /// per-strategy evidence is untouched.
+  /// it (SearchResult::WhyUnsatTags). The search's own probes are
+  /// untouched.
   bool ExplainUnsat = false;
   EncoderOptions Encoding;
 };
@@ -80,12 +74,6 @@ struct Probe {
   size_t ProofSteps = 0;
   bool ProofChecked = false;
   double ProofCheckSeconds = 0;
-  /// Portfolio strategy: true if this probe was cooperatively cancelled
-  /// (its Result is Unknown but does not count as evidence or an error —
-  /// a SAT answer at a smaller budget made it irrelevant).
-  bool Cancelled = false;
-  /// Pool worker that ran the probe (-1 outside the portfolio strategy).
-  int Worker = -1;
   /// Solver effort spent on this probe (per-call deltas).
   uint64_t Decisions = 0;
   uint64_t Propagations = 0;
@@ -94,14 +82,6 @@ struct Probe {
   /// Size of the failed-assumption set of an Unsat answer
   /// (Solver::conflict()).
   size_t FailedAssumptions = 0;
-  /// For cancelled portfolio probes: wall-clock seconds from the winner's
-  /// cancellation request to this probe's return (negative when the probe
-  /// was never asked to cancel).
-  double CancelLatencySeconds = -1;
-  /// For cancelled probes: conflicts the solver worked through after its
-  /// last interrupt poll that read false (Solver::conflictsAfterInterrupt
-  /// — at most 1; PortfolioTests asserts the bound).
-  uint64_t ConflictsAfterCancel = 0;
 };
 
 /// One probe as a compact report cell, e.g. "K=5[1639v/4613c/sat]" — the
@@ -119,19 +99,8 @@ struct SearchResult {
   /// immediately or a probe was inconclusive.
   bool LowerBoundProved = false;
   std::vector<Probe> Probes;
-  /// Wall-clock duration of the whole budget search. Under the portfolio
-  /// strategy this is what shrinks; CpuSeconds stays comparable to the
-  /// sequential strategies (total probe work performed).
+  /// Wall-clock duration of the whole budget search.
   double WallSeconds = 0;
-  /// Sum of every probe's encode + solve + proof-check time across all
-  /// workers (== WallSeconds for the sequential strategies, up to
-  /// bookkeeping noise).
-  double CpuSeconds = 0;
-  /// Number of probes that were cooperatively cancelled (portfolio only).
-  size_t CancelledProbes = 0;
-  /// Index into Probes of the probe whose model became Program (-1 when
-  /// !Found); Probes[WinningProbe].Worker is the winning thread.
-  int WinningProbe = -1;
   /// With SearchOptions::ExplainUnsat: the attribution core of the K-1
   /// refutation — sorted distinct clause tags (see makeClauseTag) naming
   /// the constraint families that make one cycle fewer impossible. Empty

@@ -180,8 +180,7 @@ SaturatedGma Superoptimizer::saturateGMA(const gma::GMA &G) const {
 
   // Freeze: fully compress every union-find path so subsequent const
   // queries perform no writes — the property concurrent readers (the
-  // portfolio search and the compile server's warm-graph serving) rely
-  // on.
+  // compile server's warm-graph serving) rely on.
   Graph->compressPaths();
   S.Graph = std::move(Graph);
   return S;

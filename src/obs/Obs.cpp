@@ -540,13 +540,6 @@ uint64_t obs::nextRequestId() {
 
 uint64_t obs::currentRequestId() { return ReqTls.Id; }
 
-RequestToken obs::currentRequestToken() {
-  RequestToken T;
-  T.Id = ReqTls.Id;
-  T.Trace = ReqTls.Trace;
-  return T;
-}
-
 RequestScope::RequestScope(uint64_t Id, RequestTrace *Trace)
     : PrevId(ReqTls.Id), PrevTrace(ReqTls.Trace) {
   ReqTls.Id = Id;

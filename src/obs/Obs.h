@@ -10,10 +10,10 @@
 ///    round/probe, which is what the pipeline does).
 ///  * **Tracing** — RAII `ObsSpan`s and `instant()` markers recorded into
 ///    per-thread event buffers. A full buffer chunk is published to a
-///    global lock-free stack (one CAS), so workers of the portfolio budget
-///    search never contend on a mutex while probes run. Collected events
-///    export as a Chrome `trace_event` JSON file (load in
-///    `chrome://tracing` / Perfetto) or a JSONL structured log.
+///    global lock-free stack (one CAS), so the parallel match loop's and
+///    the compile server's workers never contend on a mutex while they
+///    record. Collected events export as a Chrome `trace_event` JSON file
+///    (load in `chrome://tracing` / Perfetto) or a JSONL structured log.
 ///  * **Logging** — `logf(level, ...)` writes leveled diagnostics to
 ///    stderr and mirrors them into the event stream.
 ///
@@ -302,8 +302,7 @@ struct Event {
 // scope (parse, canonicalize, cache probe, saturate, universe, search,
 // encode) is stamped with the id, so a single request's full stage
 // breakdown can be extracted from the shared trace. Scopes are thread-local
-// and nestable; currentRequestToken() captures the active context so pool
-// workers (the portfolio search) can re-open it on their own threads.
+// and nestable.
 
 /// An optional per-request event retainer. When installed via RequestScope,
 /// every event recorded under the scope is *also* copied here (in addition
@@ -323,22 +322,11 @@ private:
   std::vector<Event> Retained;
 };
 
-/// A copyable capture of the calling thread's request context; hand it to a
-/// worker thread and reconstruct the context there with RequestScope.
-struct RequestToken {
-  uint64_t Id = 0;
-  RequestTrace *Trace = nullptr;
-};
-
 /// Mints a fresh process-unique request id (1-based, atomic).
 uint64_t nextRequestId();
 
 /// The calling thread's active request id (0 when none).
 uint64_t currentRequestId();
-
-/// Captures the calling thread's request context for cross-thread
-/// propagation.
-RequestToken currentRequestToken();
 
 /// RAII request context: installs \p Id (and optionally a RequestTrace) as
 /// the calling thread's active request, restoring the previous context on
@@ -347,7 +335,6 @@ RequestToken currentRequestToken();
 class RequestScope {
 public:
   explicit RequestScope(uint64_t Id, RequestTrace *Trace = nullptr);
-  explicit RequestScope(const RequestToken &T) : RequestScope(T.Id, T.Trace) {}
   ~RequestScope();
 
   RequestScope(const RequestScope &) = delete;

@@ -100,9 +100,7 @@ public:
   /// Cooperative cancellation: solve() polls \p Flag (relaxed) at its
   /// conflict/decision/restart boundaries — the same places the conflict
   /// budget is enforced — and returns Unknown once it reads true. The flag
-  /// must outlive the solve() call; pass nullptr to detach. Used by the
-  /// portfolio budget search to abandon probes a SAT result at a smaller
-  /// budget has made irrelevant.
+  /// must outlive the solve() call; pass nullptr to detach.
   void setInterrupt(const std::atomic<bool> *Flag) { Interrupt = Flag; }
 
   /// True if the last solve() returned Unknown because the interrupt flag
@@ -112,8 +110,8 @@ public:
   /// After an interrupted solve(): how many conflicts the solver worked
   /// through between the last interrupt poll that read false and the poll
   /// that observed the flag. The poll runs every conflict/decision/restart
-  /// boundary, so this is at most 1 — the bound PortfolioTests asserts to
-  /// keep cancellation responsive.
+  /// boundary, so this is at most 1 — the bound SatTests asserts to keep
+  /// cancellation responsive.
   uint64_t conflictsAfterInterrupt() const { return PostInterruptConflicts; }
 
   /// Refutation attribution: while a nonzero tag is set, every problem

@@ -186,11 +186,10 @@ std::string denali::server::matchFingerprint(const driver::Options &Opts) {
 std::string denali::server::resultFingerprint(const driver::Options &Opts) {
   const codegen::SearchOptions &S = Opts.Search;
   return matchFingerprint(Opts) +
-         strFormat("|strat=%d;min=%u;max=%u;thr=%u;confl=%llu;"
+         strFormat("|fresh=%d;min=%u;max=%u;confl=%llu;"
                    "cnf=%s;cert=%d;xunsat=%d;amo=%d;single=%d;"
                    "explain=%d;dump=%d;why=%d",
-                   static_cast<int>(S.Strategy), S.MinCycles, S.MaxCycles,
-                   S.Threads,
+                   S.FreshPerK ? 1 : 0, S.MinCycles, S.MaxCycles,
                    (unsigned long long)S.ConflictBudget,
                    S.DumpCnfDir.c_str(), S.CertifyRefutations ? 1 : 0,
                    S.ExplainUnsat ? 1 : 0,

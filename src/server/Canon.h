@@ -89,9 +89,10 @@ Key128 makeKey(std::string_view CanonText, std::string_view Fingerprint);
 std::string matchFingerprint(const driver::Options &Opts);
 
 /// Fingerprint of every option that influences the full GmaResult: the
-/// match fingerprint plus search strategy/budget/encoding knobs and the
-/// artifact switches (Explain, EGraphDump, WhyUnsat). Requests agreeing
-/// on this — and on canonical text — may share one cached result.
+/// match fingerprint plus the search's budget/encoding knobs (FreshPerK
+/// included: the reference may return a different program at the same K)
+/// and the artifact switches (Explain, EGraphDump, WhyUnsat). Requests
+/// agreeing on this — and on canonical text — may share one cached result.
 /// Changing any Options field therefore invalidates by construction: the
 /// fingerprint (hence the key) changes and old entries become
 /// unreachable.

@@ -15,8 +15,8 @@
 ///      saturation entirely and reuses the frozen path-compressed e-graph
 ///      snapshot for universe construction + the SAT ladder. The snapshot
 ///      is shared, not cloned: after compressPaths() every const query is
-///      a pure read (the PR 1 portfolio-search property), so any number
-///      of concurrent requests may compile against one graph.
+///      a pure read, so any number of concurrent requests may compile
+///      against one graph.
 ///   3. **Cold compile** — the ordinary driver pipeline, after which both
 ///      tiers are populated.
 ///

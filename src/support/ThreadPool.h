@@ -1,23 +1,17 @@
-//===- support/ThreadPool.h - Worker pool + cancellation --------*- C++ -*-===//
+//===- support/ThreadPool.h - Fixed-size worker pool ------------*- C++ -*-===//
 ///
 /// \file
-/// A reusable fixed-size worker pool and a cooperative cancellation token,
-/// used by the portfolio budget search (codegen/Search.cpp) to run SAT
-/// probes for several cycle budgets concurrently and to abandon probes a
-/// completed probe has made irrelevant.
+/// A reusable fixed-size worker pool, used by the parallel match loop
+/// (match/Matcher.cpp) and the compile server (server/Server.cpp).
 ///
 /// Tasks are arbitrary callables; submit() returns a std::future carrying
-/// the task's result or, if it threw, its exception. Cancellation is
-/// cooperative: cancelling a token never interrupts a thread — long-running
-/// work (the SAT solver's CDCL loop) polls the token's flag at safe
-/// boundaries and winds down on its own.
+/// the task's result or, if it threw, its exception.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DENALI_SUPPORT_THREADPOOL_H
 #define DENALI_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -30,28 +24,6 @@
 
 namespace denali {
 namespace support {
-
-/// A shareable cancellation flag. Copies refer to the same flag; any copy
-/// may request cancellation and any may poll it. The raw atomic can be
-/// handed to code (sat::Solver::setInterrupt) that should poll without
-/// owning the token.
-class CancellationToken {
-public:
-  CancellationToken() : Flag(std::make_shared<std::atomic<bool>>(false)) {}
-
-  /// Requests cancellation. Idempotent, thread-safe.
-  void requestCancel() { Flag->store(true, std::memory_order_relaxed); }
-
-  /// True once cancellation was requested.
-  bool isCancelled() const { return Flag->load(std::memory_order_relaxed); }
-
-  /// The underlying flag, for pollers that only need to read it. Valid as
-  /// long as any token copy is alive.
-  const std::atomic<bool> *flag() const { return Flag.get(); }
-
-private:
-  std::shared_ptr<std::atomic<bool>> Flag;
-};
 
 /// A fixed-size pool of worker threads draining a FIFO task queue.
 /// Destruction drains nothing: queued-but-unstarted tasks are discarded
@@ -84,8 +56,7 @@ public:
   }
 
   /// The index of the pool worker running the calling thread, or -1 when
-  /// called from a non-pool thread. Probes report it so portfolio runs can
-  /// attribute the winning schedule to a thread.
+  /// called from a non-pool thread.
   static int currentWorkerId();
 
 private:

@@ -95,35 +95,27 @@ OracleVerdict denali::verify::compileAndCheck(driver::Superoptimizer &Opt,
   return checkCompiled(Opt, Opt.compileGMA(G), O);
 }
 
-std::optional<std::string> denali::verify::crossCheckStrategies(
-    driver::Superoptimizer &Opt, const gma::GMA &G,
-    const std::vector<codegen::SearchStrategy> &Strategies,
-    const OracleOptions &O, OracleVerdict *AgreedOut) {
-  codegen::SearchStrategy Saved = Opt.options().Search.Strategy;
-  std::optional<OracleVerdict> First;
+std::optional<std::string> denali::verify::crossCheckReference(
+    driver::Superoptimizer &Opt, const gma::GMA &G, const OracleOptions &O,
+    OracleVerdict *AgreedOut) {
+  bool &FreshPerK = Opt.options().Search.FreshPerK;
+  const bool Saved = FreshPerK;
+  OracleVerdict V[2];
   std::optional<std::string> Err;
-  for (codegen::SearchStrategy S : Strategies) {
-    Opt.options().Search.Strategy = S;
-    OracleVerdict V = compileAndCheck(Opt, G, O);
-    if (!V.benign()) {
-      Err = strFormat("%s: strategy %u failed: %s", G.Name.c_str(),
-                      static_cast<unsigned>(S), V.toString().c_str());
-      break;
-    }
-    if (!First) {
-      First = V;
-      continue;
-    }
-    if (V.Status != First->Status || V.Cycles != First->Cycles) {
-      Err = strFormat("%s: strategy %u found %s but strategy %u found %s",
-                      G.Name.c_str(), static_cast<unsigned>(Strategies[0]),
-                      First->toString().c_str(), static_cast<unsigned>(S),
-                      V.toString().c_str());
-      break;
-    }
+  for (int Fresh = 0; Fresh < 2 && !Err; ++Fresh) {
+    FreshPerK = Fresh == 1;
+    V[Fresh] = compileAndCheck(Opt, G, O);
+    if (!V[Fresh].benign())
+      Err = strFormat("%s: %s failed: %s", G.Name.c_str(),
+                      Fresh ? "the per-K reference" : "the ladder",
+                      V[Fresh].toString().c_str());
   }
-  Opt.options().Search.Strategy = Saved;
-  if (!Err && AgreedOut && First)
-    *AgreedOut = *First;
+  FreshPerK = Saved;
+  if (!Err && (V[0].Status != V[1].Status || V[0].Cycles != V[1].Cycles))
+    Err = strFormat("%s: the ladder found %s but the per-K reference found %s",
+                    G.Name.c_str(), V[0].toString().c_str(),
+                    V[1].toString().c_str());
+  if (!Err && AgreedOut)
+    *AgreedOut = V[0];
   return Err;
 }

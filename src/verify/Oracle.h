@@ -27,7 +27,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace denali {
 namespace verify {
@@ -73,16 +72,16 @@ OracleVerdict checkCompiled(driver::Superoptimizer &Opt,
 OracleVerdict compileAndCheck(driver::Superoptimizer &Opt, const gma::GMA &G,
                               const OracleOptions &O = OracleOptions());
 
-/// Compiles \p G once per strategy and requires (a) every verdict benign,
-/// (b) all strategies agreeing on whether a program exists and on the
-/// minimal cycle count. \returns a description of the first disagreement,
-/// or std::nullopt if all strategies agree. Restores the strategy option.
-/// On agreement, \p AgreedOut (if non-null) receives the common verdict.
+/// Compiles \p G on the ladder and again on the fresh per-K reference
+/// (SearchOptions::FreshPerK) and requires (a) both verdicts benign, (b)
+/// both agreeing on whether a program exists and on the minimal cycle
+/// count. \returns a description of the first failure or disagreement, or
+/// std::nullopt. Restores the FreshPerK option. On agreement, \p AgreedOut
+/// (if non-null) receives the ladder's verdict.
 std::optional<std::string>
-crossCheckStrategies(driver::Superoptimizer &Opt, const gma::GMA &G,
-                     const std::vector<codegen::SearchStrategy> &Strategies,
-                     const OracleOptions &O = OracleOptions(),
-                     OracleVerdict *AgreedOut = nullptr);
+crossCheckReference(driver::Superoptimizer &Opt, const gma::GMA &G,
+                    const OracleOptions &O = OracleOptions(),
+                    OracleVerdict *AgreedOut = nullptr);
 
 } // namespace verify
 } // namespace denali

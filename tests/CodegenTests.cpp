@@ -272,23 +272,6 @@ TEST_F(PipelineTest, GuardOrdersMemoryOps) {
     }
 }
 
-TEST_F(PipelineTest, BinarySearchAgreesWithLinear) {
-  ClassId Goal = app(
-      Builtin::Add64,
-      {app(Builtin::Shl64, {v("x"), c(3)}),
-       app(Builtin::Xor64, {v("y"), app(Builtin::And64, {v("x"), v("y")})})});
-  saturate();
-  SearchOptions Lin;
-  Lin.Strategy = SearchStrategy::Linear;
-  SearchResult RL = superoptimize({{"res", Goal, false}}, Lin);
-  SearchOptions Bin;
-  Bin.Strategy = SearchStrategy::Binary;
-  SearchResult RB = superoptimize({{"res", Goal, false}}, Bin);
-  ASSERT_TRUE(RL.Found) << RL.Error;
-  ASSERT_TRUE(RB.Found) << RB.Error;
-  EXPECT_EQ(RL.Cycles, RB.Cycles);
-}
-
 TEST_F(PipelineTest, SingleClusterAblationNoWorse) {
   // Removing the cross-cluster delay can only shorten schedules.
   ClassId Goal = app(

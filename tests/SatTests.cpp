@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <thread>
 
 using namespace denali;
 using namespace denali::sat;
@@ -268,6 +271,72 @@ TEST(Assumptions, InterruptWindsDownSolve) {
   EXPECT_TRUE(S.interrupted());
   Cancel = false;
   EXPECT_EQ(S.solve({Lit::pos(VarOf(0, 0))}), SolveResult::Unsat);
+  EXPECT_FALSE(S.interrupted());
+}
+
+TEST(SolverInterrupt, PreSetInterruptStopsBeforeAnyConflict) {
+  // With the flag already raised, the very first poll observes it: the
+  // solve must return Unknown with zero post-interrupt conflicts.
+  Solver S;
+  std::mt19937_64 Rng(7);
+  constexpr int NumVars = 40;
+  for (int I = 0; I < NumVars; ++I)
+    S.newVar();
+  for (int I = 0; I < 120; ++I) {
+    ClauseLits C;
+    for (int J = 0; J < 3; ++J)
+      C.push_back(Lit(static_cast<Var>(Rng() % NumVars), Rng() & 1));
+    S.addClause(C);
+  }
+  std::atomic<bool> Stop{true};
+  S.setInterrupt(&Stop);
+  EXPECT_EQ(S.solve(), SolveResult::Unknown);
+  EXPECT_TRUE(S.interrupted());
+  EXPECT_EQ(S.conflictsAfterInterrupt(), 0u);
+
+  // Lowering the flag lets the same solver finish normally.
+  Stop.store(false);
+  EXPECT_NE(S.solve(), SolveResult::Unknown);
+  EXPECT_FALSE(S.interrupted());
+}
+
+TEST(SolverInterrupt, MidSolveInterruptStopsWithinOneConflict) {
+  // Pigeonhole 10-into-9 takes far longer to refute than the interrupter
+  // waits, so the flag rises mid-search, from a second thread. The solver
+  // polls it at every conflict, decision and restart boundary, so at most
+  // one conflict follows the last poll that read false.
+  Solver S;
+  const int Holes = 9, Pigeons = 10;
+  auto VarOf = [&](int Pigeon, int Hole) { return Pigeon * Holes + Hole; };
+  for (int Pigeon = 0; Pigeon < Pigeons; ++Pigeon) {
+    ClauseLits Row;
+    for (int Hole = 0; Hole < Holes; ++Hole)
+      Row.push_back(P(S, VarOf(Pigeon, Hole)));
+    S.addClause(Row);
+  }
+  for (int Hole = 0; Hole < Holes; ++Hole)
+    for (int P1 = 0; P1 < Pigeons; ++P1)
+      for (int P2 = P1 + 1; P2 < Pigeons; ++P2)
+        S.addClause(N(S, VarOf(P1, Hole)), N(S, VarOf(P2, Hole)));
+  std::atomic<bool> Stop{false};
+  S.setInterrupt(&Stop);
+  std::thread Interrupter([&Stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Stop.store(true);
+  });
+  SolveResult R = S.solve();
+  Interrupter.join();
+  EXPECT_EQ(R, SolveResult::Unknown);
+  EXPECT_TRUE(S.interrupted());
+  EXPECT_GT(S.stats().Conflicts, 0u);
+  EXPECT_LE(S.conflictsAfterInterrupt(), 1u);
+
+  // Lowering the flag lets the same solver finish: with three pigeons
+  // pinned to their own holes, what is left is pigeonhole 7-into-6.
+  Stop.store(false);
+  EXPECT_EQ(S.solve({Lit::pos(VarOf(0, 0)), Lit::pos(VarOf(1, 1)),
+                     Lit::pos(VarOf(2, 2))}),
+            SolveResult::Unsat);
   EXPECT_FALSE(S.interrupted());
 }
 

@@ -193,43 +193,19 @@ TEST(ThreadPoolTest, WorkerIdsAreStableAndInRange) {
   }
 }
 
-TEST(ThreadPoolTest, CancellationStopsCooperativeTask) {
-  support::ThreadPool Pool(2);
-  support::CancellationToken Token;
-  EXPECT_FALSE(Token.isCancelled());
-  std::atomic<bool> Started{false};
-  // The task spins until the token fires — the shape of a SAT probe
-  // polling its interrupt flag at conflict boundaries.
-  auto Loops = Pool.submit([&] {
-    Started = true;
-    uint64_t Polls = 0;
-    while (!Token.isCancelled())
-      ++Polls;
-    return Polls;
-  });
-  while (!Started)
-    std::this_thread::yield();
-  Token.requestCancel();
-  EXPECT_GE(Loops.get(), 0u); // Returns at all == cancellation worked.
-  EXPECT_TRUE(Token.isCancelled());
-  // Token copies share the flag.
-  support::CancellationToken Copy = Token;
-  EXPECT_TRUE(Copy.isCancelled());
-}
-
 TEST(ThreadPoolTest, DiscardsQueuedTasksOnDestruction) {
   std::atomic<int> Ran{0};
   std::future<void> Abandoned;
   {
     support::ThreadPool Pool(1);
-    support::CancellationToken Gate;
+    std::atomic<bool> Gate{false};
     auto Blocker = Pool.submit([&] {
-      while (!Gate.isCancelled())
+      while (!Gate.load())
         std::this_thread::yield();
     });
     for (int I = 0; I < 8; ++I)
       Abandoned = Pool.submit([&] { ++Ran; });
-    Gate.requestCancel();
+    Gate.store(true);
     Blocker.get();
     // Destruction: the blocker finished; queued tasks may or may not have
     // started, but the pool must shut down promptly either way.

@@ -1,9 +1,10 @@
 //===- tests/harness/VerifySmoke.cpp - differential smoke driver ----------===//
 //
 // The harness's command-line front end: streams seeded random GMAs from
-// verify::GmaGen through the full pipeline under every search strategy and
-// holds each result against the differential oracle (reference evaluator
-// vs. simulator vs. schedule replay, budget agreement across strategies).
+// verify::GmaGen through the full pipeline, once on the ladder and once on
+// the fresh per-K reference search, and holds each result against the
+// differential oracle (reference evaluator vs. simulator vs. schedule
+// replay, and the two searches agreeing on the minimal cycle count).
 //
 // With --machines a,b (two or more machine-model backends) the harness
 // switches to the cross-backend arm: every GMA compiles under each
@@ -12,7 +13,8 @@
 // (verify::crossCompileAndCheck).
 //
 // Four ctest entries run this binary:
-//   verify_smoke             — N GMAs x all strategies, zero tolerance;
+//   verify_smoke             — N GMAs, ladder and reference, zero
+//     tolerance;
 //   verify_fault_detect      — same stream with --inject-latency-bug, which
 //     understates Universe latencies by 2 cycles (the E13 planted bug);
 //     --expect-detect inverts the exit code: success means the oracle
@@ -24,7 +26,6 @@
 //     rv64 at all, so only it can catch this plant (E18).
 //
 // Usage: verify_smoke [--seed N] [--count N] [--trials N] [--max-cycles N]
-//                     [--strategies linear,binary,portfolio]
 //                     [--machines alpha,rv64]
 //                     [--inject-latency-bug] [--inject-rv64-latency-bug]
 //                     [--expect-detect] [-v] [--dump DIR]
@@ -60,9 +61,6 @@ struct Flags {
   unsigned Count = 200;
   unsigned Trials = 3;
   unsigned MaxCycles = 12;
-  std::vector<codegen::SearchStrategy> Strategies = {
-      codegen::SearchStrategy::Linear, codegen::SearchStrategy::Binary,
-      codegen::SearchStrategy::Portfolio};
   std::vector<std::string> Machines; ///< Empty: single-machine mode.
   bool InjectLatencyBug = false;
   bool InjectRV64LatencyBug = false;
@@ -75,47 +73,11 @@ int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--count N] [--trials N] [--max-cycles N]\n"
-      "          [--strategies linear,binary,portfolio]\n"
       "          [--machines alpha,rv64]\n"
       "          [--inject-latency-bug] [--inject-rv64-latency-bug]\n"
       "          [--expect-detect] [-v]\n",
       Argv0);
   return 2;
-}
-
-bool parseStrategies(const std::string &Spec,
-                     std::vector<codegen::SearchStrategy> &Out) {
-  Out.clear();
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    std::string Name = Spec.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    if (Name == "linear")
-      Out.push_back(codegen::SearchStrategy::Linear);
-    else if (Name == "binary")
-      Out.push_back(codegen::SearchStrategy::Binary);
-    else if (Name == "portfolio")
-      Out.push_back(codegen::SearchStrategy::Portfolio);
-    else
-      return false;
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return !Out.empty();
-}
-
-const char *strategyName(codegen::SearchStrategy S) {
-  switch (S) {
-  case codegen::SearchStrategy::Linear:
-    return "linear";
-  case codegen::SearchStrategy::Binary:
-    return "binary";
-  case codegen::SearchStrategy::Portfolio:
-    return "portfolio";
-  }
-  return "?";
 }
 
 } // namespace
@@ -147,10 +109,6 @@ int main(int argc, char **argv) {
       if (!V)
         return usage(argv[0]);
       F.MaxCycles = std::strtoul(V, nullptr, 0);
-    } else if (Arg == "--strategies") {
-      const char *V = Next();
-      if (!V || !parseStrategies(V, F.Strategies))
-        return usage(argv[0]);
     } else if (Arg == "--machines") {
       const char *V = Next();
       if (!V)
@@ -194,7 +152,6 @@ int main(int argc, char **argv) {
       driver::Options MOpts;
       MOpts.MachineName = Name;
       MOpts.Search.MaxCycles = F.MaxCycles;
-      MOpts.Search.Threads = 4;
       MOpts.Matching.MaxNodes = 8000;
       MOpts.Matching.MaxRounds = 8;
       if (F.InjectLatencyBug ||
@@ -269,7 +226,6 @@ int main(int argc, char **argv) {
 
   driver::Superoptimizer Opt;
   Opt.options().Search.MaxCycles = F.MaxCycles;
-  Opt.options().Search.Threads = 4;
   Opt.options().Matching.MaxNodes = 8000;
   Opt.options().Matching.MaxRounds = 8;
   if (F.InjectLatencyBug)
@@ -302,8 +258,7 @@ int main(int argc, char **argv) {
   for (unsigned I = 0; I < F.Count; ++I) {
     gma::GMA G = Gen.next();
     verify::OracleVerdict V;
-    auto Err =
-        verify::crossCheckStrategies(Opt, G, F.Strategies, OOpts, &V);
+    auto Err = verify::crossCheckReference(Opt, G, OOpts, &V);
     if (Err) {
       ++Failures;
       if (FirstFailure.empty())
@@ -324,14 +279,11 @@ int main(int argc, char **argv) {
   }
   double Seconds = T.seconds();
 
-  std::printf("verify_smoke: seed=%llu gmas=%u strategies=%zu "
+  std::printf("verify_smoke: seed=%llu gmas=%u "
               "compiled=%u budget-exhausted=%u failures=%u "
-              "(%.1f GMA/s, %.1fs total)\n",
-              (unsigned long long)F.Seed, F.Count, F.Strategies.size(),
-              Compiled, Exhausted, Failures, F.Count / Seconds, Seconds);
-  for (codegen::SearchStrategy S : F.Strategies)
-    std::printf("  strategy %s: differential agreement checked\n",
-                strategyName(S));
+              "(%.1f GMA/s, %.1fs total; ladder and per-K reference)\n",
+              (unsigned long long)F.Seed, F.Count, Compiled, Exhausted,
+              Failures, F.Count / Seconds, Seconds);
   if (!FirstFailure.empty())
     std::printf("first failure:\n%s\n", FirstFailure.c_str());
 

@@ -14,8 +14,7 @@
 //  * timing fields (*_s) fail only on regression: fresh may not exceed
 //    baseline * (1 + PCT/100); throughput (gma_per_s) may not fall below
 //    baseline / (1 + PCT/100). Improvements always pass.
-//  * derived percentages (*_pct) and known-noisy counters
-//    (cancelled_probes) are ignored.
+//  * derived percentages (*_pct) are ignored.
 //
 // The default tolerance is 100% (half speed fails); perf_smoke passes a
 // wider one because CI machines are loaded and the committed baselines come
@@ -84,8 +83,7 @@ bool isTimingField(const std::string &Name) {
 }
 
 bool isIgnoredField(const std::string &Name) {
-  return Name == "cancelled_probes" || Name == "threads" ||
-         (Name.size() > 4 && Name.compare(Name.size() - 4, 4, "_pct") == 0);
+  return Name.size() > 4 && Name.compare(Name.size() - 4, 4, "_pct") == 0;
 }
 
 } // namespace

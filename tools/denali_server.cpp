@@ -19,9 +19,6 @@
 //     --stats            print a (stats ...) summary line on exit
 //     --max-cycles N     budget ceiling (default 16)
 //     --min-cycles N     budget floor (default 1)
-//     --binary-search / --portfolio
-//                        budget-ladder strategy knobs (as in `denali`)
-//     --search-threads N portfolio worker count
 //     --match-budget N / --match-phases / --match-threads N /
 //     --match-eager-rebuild
 //                        saturation scheduling knobs (as in `denali`)
@@ -66,6 +63,8 @@
 #include "server/Server.h"
 #include "sexpr/Parser.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -119,6 +118,26 @@ bool parseBytes(const char *S, size_t &Out) {
     return false;
   Out = static_cast<size_t>(V);
   return true;
+}
+
+/// Parses a cycle budget: a positive decimal integer that fits unsigned.
+bool parseCycles(const char *S, unsigned &Out) {
+  if (*S < '1' || *S > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long V = std::strtoul(S, &End, 10);
+  if (*End != '\0' || errno == ERANGE || V > UINT_MAX)
+    return false;
+  Out = static_cast<unsigned>(V);
+  return true;
+}
+
+int usageError(const char *Flag, const char *Value) {
+  std::fprintf(stderr,
+               "error: %s takes a positive decimal integer, not '%s'\n",
+               Flag, Value);
+  return 2;
 }
 
 int runBulk(server::CompileServer &Server, const std::string &Path,
@@ -199,17 +218,12 @@ int main(int argc, char **argv) {
       PrintStats = true;
     } else if (const char *V =
                    flagValue(Arg, "--max-cycles", I, argc, argv)) {
-      Opts.Search.MaxCycles = static_cast<unsigned>(std::atoi(V));
+      if (!parseCycles(V, Opts.Search.MaxCycles))
+        return usageError("--max-cycles", V);
     } else if (const char *V =
                    flagValue(Arg, "--min-cycles", I, argc, argv)) {
-      Opts.Search.MinCycles = static_cast<unsigned>(std::atoi(V));
-    } else if (std::strcmp(Arg, "--binary-search") == 0) {
-      Opts.Search.Strategy = codegen::SearchStrategy::Binary;
-    } else if (std::strcmp(Arg, "--portfolio") == 0) {
-      Opts.Search.Strategy = codegen::SearchStrategy::Portfolio;
-    } else if (const char *V =
-                   flagValue(Arg, "--search-threads", I, argc, argv)) {
-      Opts.Search.Threads = static_cast<unsigned>(std::atoi(V));
+      if (!parseCycles(V, Opts.Search.MinCycles))
+        return usageError("--min-cycles", V);
     } else if (const char *V =
                    flagValue(Arg, "--match-budget", I, argc, argv)) {
       Opts.Matching.MatchBudget = std::strtoull(V, nullptr, 10);
