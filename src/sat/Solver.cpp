@@ -393,7 +393,7 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
           noteUnitTags(V, ResolveTags);
         continue;
       }
-      SeenFlags[V] = 1;
+      SeenFlags[V] = SeenSource;
       SeenToClear.push_back(V);
       varBumpActivity(V);
       if (Level[V] >= decisionLevel())
@@ -443,38 +443,55 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
 bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
   // DFS over the implication graph; a literal is redundant if every path
   // to decisions passes through literals already in the learnt clause.
-  std::vector<Var> Stack = {L.var()};
-  size_t ClearFrom = SeenToClear.size();
-  while (!Stack.empty()) {
-    Var V = Stack.back();
-    Stack.pop_back();
+  // Redundancy is a property of the graph and the clause, so verdicts are
+  // kept (MiniSat's removable/failed marks): later literals of the same
+  // clause never walk a settled subgraph again.
+  assert(SeenFlags[L.var()] == SeenSource && "not a learnt-clause literal");
+  RedundantStack.clear();
+  Var V = L.var();
+  uint32_t Next = 1;
+  // Minimization performs extra resolutions; their provenance joins the
+  // learnt clause's (collected even when the check fails — a harmless
+  // overapproximation for an attribution core).
+  if (CoreTracking)
+    noteClauseTags(Reason[V], ResolveTags);
+  for (;;) {
     CRef R = Reason[V];
     assert(R != InvalidCRef && "redundancy check reached a decision");
-    // Minimization performs extra resolutions; their provenance joins the
-    // learnt clause's (collected even when the check later fails — a
-    // harmless overapproximation for an attribution core).
-    if (CoreTracking)
-      noteClauseTags(R, ResolveTags);
-    const Lit *Lits = clauseLits(R);
-    uint32_t Size = clauseSize(R);
-    for (uint32_t J = 1; J < Size; ++J) {
-      Var W = Lits[J].var();
-      if (SeenFlags[W] || Level[W] == 0)
+    if (Next < clauseSize(R)) {
+      Var W = clauseLits(R)[Next++].var();
+      if (Level[W] == 0 || SeenFlags[W] == SeenSource ||
+          SeenFlags[W] == SeenRemovable)
         continue;
-      if (Reason[W] == InvalidCRef ||
+      if (Reason[W] == InvalidCRef || SeenFlags[W] == SeenFailed ||
           !(AbstractLevels & (1u << (Level[W] & 31)))) {
-        // Not provably redundant; undo marks made during this check.
-        for (size_t K = ClearFrom; K < SeenToClear.size(); ++K)
-          SeenFlags[SeenToClear[K]] = 0;
-        SeenToClear.resize(ClearFrom);
+        // W is not implied by the clause, so nothing on the path to it is.
+        RedundantStack.push_back(RedundantFrame{V, Next});
+        for (const RedundantFrame &F : RedundantStack)
+          if (SeenFlags[F.V] == SeenNone) {
+            SeenFlags[F.V] = SeenFailed;
+            SeenToClear.push_back(F.V);
+          }
         return false;
       }
-      SeenFlags[W] = 1;
-      SeenToClear.push_back(W);
-      Stack.push_back(W);
+      RedundantStack.push_back(RedundantFrame{V, Next});
+      V = W;
+      Next = 1;
+      if (CoreTracking)
+        noteClauseTags(Reason[V], ResolveTags);
+      continue;
     }
+    // Every antecedent of V is implied by the clause.
+    if (SeenFlags[V] == SeenNone) {
+      SeenFlags[V] = SeenRemovable;
+      SeenToClear.push_back(V);
+    }
+    if (RedundantStack.empty())
+      return true;
+    V = RedundantStack.back().V;
+    Next = RedundantStack.back().Next;
+    RedundantStack.pop_back();
   }
-  return true;
 }
 
 void Solver::backtrack(int ToLevel) {

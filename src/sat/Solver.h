@@ -252,9 +252,20 @@ private:
   // Scratch for addClause() (normalized input, surviving literals).
   ClauseLits AddSorted, AddKept;
 
-  // Scratch for analyze().
+  // Scratch for analyze(). A variable's mark is SeenSource while it is in
+  // the learnt clause; during minimization (litRedundant) it may become
+  // SeenRemovable or SeenFailed, a verdict that holds until analyze()
+  // clears every mark on SeenToClear.
+  enum : uint8_t { SeenNone = 0, SeenSource, SeenRemovable, SeenFailed };
   std::vector<uint8_t> SeenFlags;
   std::vector<Var> SeenToClear;
+  /// litRedundant's DFS path: a variable and the index of the next
+  /// literal of its reason to visit.
+  struct RedundantFrame {
+    Var V;
+    uint32_t Next;
+  };
+  std::vector<RedundantFrame> RedundantStack;
 
   LBool value(Lit L) const {
     LBool V = Assigns[L.var()];
