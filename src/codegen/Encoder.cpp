@@ -116,6 +116,68 @@ Encoder::Encoder(const EGraph &G, const machine::MachineModel &M,
   }
   StoreLaunched.assign(Stores.size(), -1);
   ExceedVars.push_back(-1); // E_0 does not exist.
+  computeWindows();
+}
+
+void Encoder::computeWindows() {
+  // The windows are the least fixed point of
+  //   launch(t, u) = max(0, ready(r, cluster(u)) + 1 over operand rows r,
+  //                  min over clusters c of ready(guard, c) + 1 for a
+  //                  guarded load or store),
+  //   ready(r, c)  = min over producer links of launch(t, u) + Offset,
+  // the cycles before which unit propagation fixes every L and B false:
+  // layer I's launches need B at I-1, and its B's need launches at <= I.
+  // Launch windows follow from the ready ones, so only those are iterated,
+  // down from Never until a sweep changes nothing. A sweep visits the rows
+  // backwards (the universe lists a class before its operands), so most
+  // chains settle in the first one.
+  const std::vector<MachineTerm> &Terms = U.terms();
+  auto after = [](unsigned Cycle) {
+    return Cycle == Never ? Never : Cycle + 1;
+  };
+  ReadyFrom.assign(RowClass.size() * NumClusters, Never);
+  auto launchFrom = [&](uint32_t T, machine::UnitId Un) {
+    unsigned From = 0;
+    for (uint32_t Row : OperandRows[T])
+      From = std::max(From,
+                      after(ReadyFrom[Row * NumClusters + clusterOfUnit(Un)]));
+    if (GuardRow >= 0 && (Terms[T].IsLoad || Terms[T].IsStore)) {
+      unsigned Guard = Never;
+      for (unsigned C = 0; C < NumClusters; ++C)
+        Guard = std::min(Guard, ReadyFrom[GuardRow * NumClusters + C]);
+      From = std::max(From, after(Guard));
+    }
+    return From;
+  };
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t Group = ReadyFrom.size(); Group-- > 0;) {
+      for (uint32_t Idx = LinksBegin[Group]; Idx < LinksBegin[Group + 1];
+           ++Idx) {
+        const ProducerLink &Link = Links[Idx];
+        unsigned From = launchFrom(Link.Term, Link.Unit);
+        if (From != Never && From + Link.Offset < ReadyFrom[Group]) {
+          ReadyFrom[Group] = From + Link.Offset;
+          Changed = true;
+        }
+      }
+    }
+  }
+  LaunchFrom.assign(Terms.size() * NumUnits, Never);
+  for (size_t T = 0; T < Terms.size(); ++T)
+    for (machine::UnitId Un : Terms[T].Units)
+      LaunchFrom[T * NumUnits + Un] =
+          launchFrom(static_cast<uint32_t>(T), Un);
+
+  // A budget-K program computes every goal by the end of cycle K-1.
+  for (int32_t Row : GoalRows) {
+    if (Row < 0)
+      continue;
+    unsigned Ready = Never;
+    for (unsigned C = 0; C < NumClusters; ++C)
+      Ready = std::min(Ready, ReadyFrom[Row * NumClusters + C]);
+    CriticalPath = std::max(CriticalPath, after(Ready));
+  }
 }
 
 void Encoder::addLayer(EncodingStats &Stats) {
@@ -123,21 +185,20 @@ void Encoder::addLayer(EncodingStats &Stats) {
   const std::vector<MachineTerm> &Terms = U.terms();
   const size_t NT = Terms.size();
 
-  // --- Variables of cycle I. ------------------------------------------------
+  // --- Variables of cycle I, inside their windows. ---------------------------
   LVars.resize(LVars.size() + NT * NumUnits, -1);
   for (size_t T = 0; T < NT; ++T)
     for (machine::UnitId Un : Terms[T].Units)
-      LVars[(I * NT + T) * NumUnits + Un] = S.newVar();
-  for (size_t N = RowClass.size() * NumClusters; N > 0; --N)
-    BVars.push_back(S.newVar());
+      if (LaunchFrom[T * NumUnits + Un] <= I)
+        LVars[(I * NT + T) * NumUnits + Un] = S.newVar();
+  for (unsigned From : ReadyFrom)
+    BVars.push_back(From <= I ? S.newVar() : -1);
   ++Layers;
   ++Stats.Layers;
 
-  auto launch = [&](uint32_t T, machine::UnitId Un, unsigned Cycle) {
-    sat::Var V = lVar(T, Un, Cycle);
-    assert(V >= 0 && "missing L variable");
-    return Lit::pos(V);
-  };
+  // An absent launch or availability is false, so every clause below skips
+  // it: a clause with ~L for an absent L is satisfied, and an absent L or B
+  // drops out of a disjunction.
   // Per-family clause attribution: the solver's clause count sampled at
   // each constraint-block boundary.
   uint64_t Mark = S.numClauses();
@@ -150,23 +211,27 @@ void Encoder::addLayer(EncodingStats &Stats) {
   // --- Condition 3 (+1): B(q,c,I) holds iff some member completed by I. ---
   for (uint32_t R = 0; R < RowClass.size(); ++R) {
     for (unsigned C = 0; C < NumClusters; ++C) {
+      const size_t Group = size_t(R) * NumClusters + C;
+      if (ReadyFrom[Group] > I)
+        continue;
       tag(ClauseFamily::Definition, I, ~0u, G.find(RowClass[R]));
-      Lit B = bLit(R, C, I);
+      Lit B = Lit::pos(bVar(R, C, I));
       Clause.assign(1, ~B);
-      if (I > 0) {
-        Lit Prev = bLit(R, C, I - 1);
+      if (ReadyFrom[Group] < I) {
+        Lit Prev = Lit::pos(bVar(R, C, I - 1));
         Clause.push_back(Prev);
         S.addClause(~Prev, B); // Monotonic.
       }
-      const size_t Group = size_t(R) * NumClusters + C;
       for (uint32_t Idx = LinksBegin[Group]; Idx < LinksBegin[Group + 1];
            ++Idx) {
         const ProducerLink &Link = Links[Idx];
         if (Link.Offset > I)
           continue; // Launched before cycle 0.
-        Lit L = launch(Link.Term, Link.Unit, I - Link.Offset);
-        Clause.push_back(L);
-        S.addClause(~L, B);
+        sat::Var V = lVar(Link.Term, Link.Unit, I - Link.Offset);
+        if (V < 0)
+          continue;
+        Clause.push_back(Lit::pos(V));
+        S.addClause(Lit::neg(V), B);
       }
       S.addClause(Clause);
     }
@@ -174,15 +239,17 @@ void Encoder::addLayer(EncodingStats &Stats) {
   charge(Stats.DefinitionClauses);
 
   // --- Condition 2: operands available before launch. ---------------------
+  // A launch's window opens after each operand's, so B(row, c, I-1) exists.
   for (size_t T = 0; T < NT; ++T) {
     for (uint32_t Row : OperandRows[T]) {
       for (machine::UnitId Un : Terms[T].Units) {
+        sat::Var V = lVar(static_cast<uint32_t>(T), Un, I);
+        if (V < 0)
+          continue;
         tag(ClauseFamily::Operand, I, Un, static_cast<uint32_t>(T));
-        Lit L = launch(static_cast<uint32_t>(T), Un, I);
-        if (I == 0)
-          S.addClause(~L); // No cycle -1 to have computed the operand in.
-        else
-          S.addClause(~L, bLit(Row, clusterOfUnit(Un), I - 1));
+        sat::Var Operand = bVar(Row, clusterOfUnit(Un), I - 1);
+        assert(Operand >= 0 && "launch window opens before its operand's");
+        S.addClause(Lit::neg(V), Lit::pos(Operand));
       }
     }
   }
@@ -202,18 +269,24 @@ void Encoder::addLayer(EncodingStats &Stats) {
   charge(Stats.ExclusivityClauses);
 
   // --- Section 7: guard before unsafe (memory) operations. -----------------
+  // A guarded launch's window opens after the guard's earliest one, so the
+  // clause keeps at least one B.
   if (GuardRow >= 0) {
     for (size_t T = 0; T < NT; ++T) {
       const MachineTerm &MT = Terms[T];
       if (!MT.IsLoad && !MT.IsStore)
         continue;
       for (machine::UnitId Un : MT.Units) {
+        sat::Var V = lVar(static_cast<uint32_t>(T), Un, I);
+        if (V < 0)
+          continue;
         tag(ClauseFamily::Guard, I, Un, static_cast<uint32_t>(T));
-        Lit L = launch(static_cast<uint32_t>(T), Un, I);
-        Clause.assign(1, ~L);
-        if (I > 0)
-          for (unsigned C = 0; C < NumClusters; ++C)
-            Clause.push_back(bLit(static_cast<uint32_t>(GuardRow), C, I - 1));
+        Clause.assign(1, Lit::neg(V));
+        for (unsigned C = 0; C < NumClusters; ++C)
+          if (sat::Var Guard = bVar(static_cast<uint32_t>(GuardRow), C, I - 1);
+              Guard >= 0)
+            Clause.push_back(Lit::pos(Guard));
+        assert(Clause.size() > 1 && "launch window opens before the guard's");
         S.addClause(Clause);
       }
     }
@@ -230,19 +303,24 @@ void Encoder::addLayer(EncodingStats &Stats) {
       continue;
     tag(ClauseFamily::Memory, I, ~0u, D.Load);
     for (machine::UnitId UL : Terms[D.Load].Units)
-      S.addClause(~launch(D.Load, UL, I), Lit::neg(Before));
+      if (sat::Var V = lVar(D.Load, UL, I); V >= 0)
+        S.addClause(Lit::neg(V), Lit::neg(Before));
   }
   // Each store launches at most once (a replayed store could overwrite a
   // later store to the same unprovably-distinct address): at most one of
   // its launches at I and "launched before I", which then extends to I.
+  // Before the store's window opens there is nothing to extend.
   for (size_t SIdx = 0; SIdx < Stores.size(); ++SIdx) {
     const uint32_t T = Stores[SIdx];
-    tag(ClauseFamily::Memory, I, ~0u, T);
     sat::Var Before = StoreLaunched[SIdx];
     Clause.clear();
     for (machine::UnitId Un : Terms[T].Units)
-      Clause.push_back(launch(T, Un, I));
+      if (sat::Var V = lVar(T, Un, I); V >= 0)
+        Clause.push_back(Lit::pos(V));
     const size_t Launches = Clause.size();
+    if (Launches == 0)
+      continue;
+    tag(ClauseFamily::Memory, I, ~0u, T);
     if (Before >= 0)
       Clause.push_back(Lit::pos(Before));
     sat::addAtMostOne(S, Clause, Opts.AmoStyle);
@@ -266,9 +344,12 @@ void Encoder::addLayer(EncodingStats &Stats) {
     if (Budget == 0)
       continue; // Finished by the end of cycle 0: fits every budget.
     for (machine::UnitId Un : Terms[T].Units) {
+      sat::Var V = lVar(static_cast<uint32_t>(T), Un, I);
+      if (V < 0)
+        continue;
       Lit Overrun = exceed(Budget);
       tag(ClauseFamily::Gating, I, Un, static_cast<uint32_t>(T));
-      S.addClause(~launch(static_cast<uint32_t>(T), Un, I), Overrun);
+      S.addClause(Lit::neg(V), Overrun);
     }
   }
   charge(Stats.GatingClauses);
@@ -293,6 +374,8 @@ void Encoder::addDeadline(unsigned K, EncodingStats &Stats) {
   Stats.GatingClauses += S.numClauses() - Mark;
   Mark = S.numClauses();
   // --- Condition 5: goals computed within K cycles, unless E_K. -----------
+  // Below the critical path some goal has no B at K-1, and its deadline is
+  // the unit E_K: the budget is refuted without search.
   sat::ClauseLits Clause;
   for (size_t GIdx = 0; GIdx < Goals.size(); ++GIdx) {
     if (GoalRows[GIdx] < 0)
@@ -300,7 +383,9 @@ void Encoder::addDeadline(unsigned K, EncodingStats &Stats) {
     tag(ClauseFamily::Deadline, K - 1, ~0u, static_cast<uint32_t>(GIdx));
     Clause.assign(1, Overrun);
     for (unsigned C = 0; C < NumClusters; ++C)
-      Clause.push_back(bLit(static_cast<uint32_t>(GoalRows[GIdx]), C, K - 1));
+      if (sat::Var B = bVar(static_cast<uint32_t>(GoalRows[GIdx]), C, K - 1);
+          B >= 0)
+        Clause.push_back(Lit::pos(B));
     S.addClause(Clause);
   }
   Stats.DeadlineClauses += S.numClauses() - Mark;

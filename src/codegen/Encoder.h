@@ -159,11 +159,33 @@ struct NamedGoal {
 /// finishes after cycle K, so every launch at cycle >= K is false, and the
 /// constraints restricted to cycles < K are exactly the budget-K encoding,
 /// whatever layers beyond K the solver already holds.
+///
+/// Scheduling windows: the encoder computes once, from the operand and
+/// producer structure alone, the earliest cycle each (term, unit) can
+/// launch and each (row, cluster) can be available, and creates L and B
+/// variables only from those cycles on. Every literal left out is one unit
+/// propagation fixes false on the full encoding, so the schedules and the
+/// minimal budget are those of the full encoding.
 class Encoder {
 public:
   Encoder(const egraph::EGraph &G, const machine::MachineModel &M,
           const Universe &U, const std::vector<NamedGoal> &Goals,
           const EncoderOptions &Opts, sat::Solver &S);
+
+  /// A window that never opens.
+  static constexpr unsigned Never = ~0u;
+
+  /// The static lower bound on the budget (the critical path), at least 1:
+  /// one more than the latest goal's earliest availability. Every budget
+  /// below it is refuted by its deadline alone. Never when some goal can
+  /// never be computed.
+  unsigned criticalPath() const { return CriticalPath; }
+
+  /// The earliest cycle term \p Term can launch on unit \p Un (Never when
+  /// it cannot launch there).
+  unsigned earliestLaunch(uint32_t Term, machine::UnitId Un) const {
+    return LaunchFrom[size_t(Term) * NumUnits + Un];
+  }
 
   /// Makes budget \p K (>= 1) ready to solve: appends the cycle layers
   /// still missing below K and the gated budget-K deadline. \returns what
@@ -217,9 +239,16 @@ private:
   std::vector<uint32_t> Stores;
   std::vector<AntiDependence> AntiDeps;
 
+  // Scheduling windows: the first cycle of each launch, (term, unit), and
+  // of each availability, (row, cluster); Never when it never opens.
+  std::vector<unsigned> LaunchFrom;
+  std::vector<unsigned> ReadyFrom;
+  unsigned CriticalPath = 1;
+
   // Variables, layer-major so that a layer appends one block: L is
-  // (cycle, term, unit), B is (cycle, row, cluster); -1 marks an absent
-  // launch. E_K is ExceedVars[K] (index 0 unused; see exceed()).
+  // (cycle, term, unit), B is (cycle, row, cluster); -1 marks a variable
+  // outside its window (or a unit the term cannot issue on). E_K is
+  // ExceedVars[K] (index 0 unused; see exceed()).
   unsigned Layers = 0;
   std::vector<sat::Var> LVars;
   std::vector<sat::Var> BVars;
@@ -232,10 +261,9 @@ private:
     return LVars[(size_t(Cycle) * U.terms().size() + Term) * NumUnits +
                  Unit];
   }
-  sat::Lit bLit(uint32_t Row, unsigned Cluster, unsigned Cycle) const {
-    return sat::Lit::pos(
-        BVars[(size_t(Cycle) * RowClass.size() + Row) * NumClusters +
-              Cluster]);
+  sat::Var bVar(uint32_t Row, unsigned Cluster, unsigned Cycle) const {
+    return BVars[(size_t(Cycle) * RowClass.size() + Row) * NumClusters +
+                 Cluster];
   }
   unsigned clusterOfUnit(machine::UnitId Un) const {
     return Opts.SingleCluster ? 0 : M.clusterOf(Un);
@@ -245,6 +273,8 @@ private:
       S.setClauseTag(makeClauseTag(F, Cycle, Unit, Detail));
   }
 
+  /// Fills LaunchFrom, ReadyFrom and CriticalPath.
+  void computeWindows();
   void addLayer(EncodingStats &Stats);
   void addDeadline(unsigned K, EncodingStats &Stats);
   /// E_K, creating the chain up to it.

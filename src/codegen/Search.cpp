@@ -175,10 +175,9 @@ void runExplainProbe(const egraph::EGraph &G, const machine::MachineModel &Isa,
         .arg("core_tags", static_cast<uint64_t>(Result.WhyUnsatTags.size()));
 }
 
-/// The budget search: probes budgets upward from MinCycles until one is
-/// feasible, on one ladder or, with FreshPerK, on a fresh per-K instance
-/// for each budget. The wrapper adds the explain probe and the timing
-/// summary.
+/// The budget search: probes budgets upward until one is feasible, on one
+/// ladder or, with FreshPerK, on a fresh per-K instance for each budget.
+/// The wrapper adds the explain probe and the timing summary.
 SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineModel &Isa,
                                const Universe &U,
                                const std::vector<NamedGoal> &Goals,
@@ -206,11 +205,17 @@ SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineMo
   }
 
   // Budget 0 has no cycle layer to encode; the empty program above is the
-  // only zero-cycle answer.
+  // only zero-cycle answer. Every budget below the critical path is refuted
+  // by its deadline alone, so the ladder starts one below it: that probe
+  // still refutes a budget under the answer, which LowerBoundProved and the
+  // why-unsat probe rest on. A goal that can never be computed puts the
+  // start past every budget.
   const unsigned MinCycles = std::max(1u, Opts.MinCycles);
-  std::optional<Ladder> L;
-  for (unsigned K = MinCycles; K <= Opts.MaxCycles; ++K) {
-    if (!L || Opts.FreshPerK)
+  std::optional<Ladder> L(std::in_place, G, Isa, U, Goals, Opts);
+  Result.CriticalPath = L->Enc.criticalPath();
+  const unsigned Start = std::max(MinCycles, Result.CriticalPath - 1);
+  for (unsigned K = Start; K <= Opts.MaxCycles; ++K) {
+    if (Opts.FreshPerK && K > Start)
       L.emplace(G, Isa, U, Goals, Opts);
     std::optional<machine::Program> Prog;
     Probe P = probeBudget(*L, Opts, K, Prog, Name, Result.Error);
@@ -223,7 +228,7 @@ SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineMo
       Result.Found = true;
       Result.Cycles = K;
       Result.Program = std::move(*Prog);
-      Result.LowerBoundProved = K > MinCycles;
+      Result.LowerBoundProved = K > Start;
       return Result;
     }
     if (R == SolveResult::Unknown) {

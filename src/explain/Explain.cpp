@@ -287,6 +287,30 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
     return S;
   };
 
+  auto goalNames = [&](const std::set<uint32_t> &GIdxs) {
+    std::string Names;
+    for (uint32_t GIdx : GIdxs) {
+      if (!Names.empty())
+        Names += ", ";
+      Names += GIdx < Goals.size()
+                   ? strFormat("'%s'", Goals[GIdx].Target.c_str())
+                   : "#" + field(GIdx);
+    }
+    return Names;
+  };
+
+  // Below the critical path a goal's deadline alone refutes the budget:
+  // name the bound rather than the one clause.
+  if (R.WhyUnsatCycles < R.CriticalPath) {
+    auto Deadline = ByFamily.find(ClauseFamily::Deadline);
+    std::string Names = Deadline == ByFamily.end()
+                            ? std::string()
+                            : " (" + goalNames(Deadline->second.Details) + ")";
+    return strFormat("K=%u refuted: below the critical-path bound of %u "
+                     "cycles%s",
+                     R.WhyUnsatCycles, R.CriticalPath, Names.c_str());
+  }
+
   std::string Out =
       strFormat("K=%u refuted:", R.WhyUnsatCycles);
   bool First = true;
@@ -311,19 +335,10 @@ denali::explain::whyUnsatReport(const codegen::SearchResult &R,
                      unitList(A.Units).c_str(),
                      cycleSpan(A.Cycles).c_str()));
       break;
-    case ClauseFamily::Deadline: {
-      std::string Names;
-      for (uint32_t GIdx : A.Details) {
-        if (!Names.empty())
-          Names += ", ";
-        Names += GIdx < Goals.size()
-                     ? strFormat("'%s'", Goals[GIdx].Target.c_str())
-                     : "#" + field(GIdx);
-      }
-      item(strFormat("goal deadline %s%s", Names.c_str(),
+    case ClauseFamily::Deadline:
+      item(strFormat("goal deadline %s%s", goalNames(A.Details).c_str(),
                      cycleSpan(A.Cycles).c_str()));
       break;
-    }
     case ClauseFamily::Guard:
       item(strFormat("guard ordering of %s%s",
                      termList(A.Details, 4).c_str(),

@@ -96,8 +96,9 @@ std::string explanationToListing(const ProgramExplanation &E);
 
 /// Folds SearchResult::WhyUnsatTags into the bottleneck report, e.g.
 /// "K=3 refuted: issue-slot capacity on U1 at cycles 1-2; operand
-/// latency of t17 (mull); goal deadline 'r'". Empty string when the result
-/// carries no why-unsat core.
+/// latency of t17 (mull); goal deadline 'r'". A budget below the critical
+/// path reads "K=6 refuted: below the critical-path bound of 7 cycles
+/// ('r')". Empty string when the result carries no why-unsat core.
 std::string whyUnsatReport(const codegen::SearchResult &R,
                            const codegen::Universe &U,
                            const std::vector<codegen::NamedGoal> &Goals);

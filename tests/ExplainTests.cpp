@@ -94,6 +94,26 @@ TEST(Explain, GoldenByteswap4) {
       << G.WhyUnsatText;
 }
 
+TEST(Explain, WhyUnsatNamesTheCriticalPathBound) {
+  // mulq's latency makes K=7 both the answer and the critical path, so the
+  // explain probe's K=6 is refuted by the goal deadline alone; the report
+  // names the bound rather than the lone deadline clause.
+  driver::Options Opts;
+  Opts.WhyUnsat = true;
+  driver::Superoptimizer Opt(Opts);
+  driver::CompileResult R = Opt.compileSource(
+      R"((\procdecl mul ((x long) (y long)) long (:= (\res (\mul64 x y)))))");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  ASSERT_EQ(R.Gmas.size(), 1u);
+  const driver::GmaResult &G = R.Gmas[0];
+  ASSERT_TRUE(G.ok()) << G.Error;
+  EXPECT_EQ(G.Search.Cycles, 7u);
+  EXPECT_EQ(G.Search.CriticalPath, 7u);
+  EXPECT_EQ(G.Search.WhyUnsatCycles, 6u);
+  EXPECT_EQ(G.WhyUnsatText,
+            "K=6 refuted: below the critical-path bound of 7 cycles ('\\res')");
+}
+
 TEST(Explain, ClauseTagFieldsMarkOverflow) {
   using namespace codegen;
   // The last values each field holds decode exactly.

@@ -369,6 +369,54 @@ struct Input {
   }
 };
 
+/// The critical-path bound on one input, checked against the search. A
+/// fresh encoder refutes every budget below the bound with zero conflicts;
+/// the bound never exceeds the minimal K; and whenever K > MinCycles the
+/// search refuted K-1, so the ladder starts one below the bound.
+void expectBoundContract(const Input &In, unsigned MaxCycles) {
+  const egraph::EGraph &G = *In.Sat.Graph;
+  const machine::MachineModel &M = In.Opt->isa();
+  std::vector<ClassId> Roots;
+  for (const NamedGoal &Goal : In.Sat.Goals)
+    Roots.push_back(Goal.Class);
+  if (In.Sat.GuardClass)
+    Roots.push_back(*In.Sat.GuardClass);
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, M, Roots, In.Sat.UOpts, &Err)) << Err;
+  EncoderOptions EOpts = In.Opt->options().Search.Encoding;
+  EOpts.GuardClass = In.Sat.GuardClass;
+  auto fresh = [&](sat::Solver &S) {
+    return Encoder(G, M, U, In.Sat.Goals, EOpts, S);
+  };
+  sat::Solver Unused;
+  const unsigned Bound = fresh(Unused).criticalPath();
+  ASSERT_GE(Bound, 1u);
+  for (unsigned K = 1; K < Bound && K <= MaxCycles; ++K) {
+    sat::Solver S;
+    Encoder Enc = fresh(S);
+    Enc.prepareBudget(K);
+    EXPECT_EQ(S.solve({Enc.budgetAssumption(K)}), sat::SolveResult::Unsat)
+        << "K=" << K;
+    EXPECT_EQ(S.stats().Conflicts, 0u) << "K=" << K;
+  }
+  for (unsigned MinCycles : {1u, 3u}) {
+    SCOPED_TRACE(strFormat("from %u", MinCycles));
+    SearchResult R = In.searcher()(searchOptions(MinCycles, MaxCycles, false));
+    if (!R.Found || R.Cycles == 0)
+      continue; // No answer to bound, or every goal is free.
+    EXPECT_EQ(R.CriticalPath, Bound);
+    EXPECT_LE(Bound, R.Cycles);
+    if (R.Cycles <= MinCycles)
+      continue;
+    bool RefutedBelow = false;
+    for (const Probe &P : R.Probes)
+      RefutedBelow |= P.Cycles == R.Cycles - 1 &&
+                      P.Result == sat::SolveResult::Unsat;
+    EXPECT_TRUE(RefutedBelow) << "K=" << R.Cycles;
+  }
+}
+
 /// Inputs and the pipelines that own them.
 class Corpus {
 public:
@@ -432,6 +480,17 @@ TEST_P(SampleProgram, LadderMatchesReference) {
   }
 }
 
+TEST_P(SampleProgram, BoundIsSound) {
+  Corpus C;
+  C.addSource(GetParam(),
+              readFile(std::string(DENALI_EXAMPLES_DIR) + "/" + GetParam()));
+  ASSERT_FALSE(C.Inputs.empty());
+  for (const Input &In : C.Inputs) {
+    SCOPED_TRACE(In.Name);
+    expectBoundContract(In, 26);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Examples, SampleProgram,
     ::testing::Values("byteswap4.dnl", "byteswap4.den", "checksum.dnl",
@@ -453,6 +512,17 @@ TEST(PaperKernels, LadderMatchesReference) {
   for (const Input &In : C.Inputs) {
     SCOPED_TRACE(In.Name);
     EXPECT_GT(expectLadderContract(In.searcher(), 12), 0u);
+  }
+}
+
+TEST(PaperKernels, BoundIsSound) {
+  Corpus C;
+  C.addSource("byteswap5", bench::byteswapSource(5));
+  C.addSource("permute16", bench::permuteSource());
+  ASSERT_EQ(C.Inputs.size(), 2u);
+  for (const Input &In : C.Inputs) {
+    SCOPED_TRACE(In.Name);
+    expectBoundContract(In, 12);
   }
 }
 
@@ -480,6 +550,16 @@ TEST_P(GeneratedSlice, LadderMatchesReference) {
   }
   // Some generated GMAs need no instruction at all; most need probes.
   EXPECT_GT(Compared, C.Inputs.size());
+}
+
+TEST_P(GeneratedSlice, BoundIsSound) {
+  Corpus C;
+  C.addGenerated(1000 + GetParam(), 24);
+  ASSERT_GE(C.Inputs.size(), 20u);
+  for (const Input &In : C.Inputs) {
+    SCOPED_TRACE(In.Name);
+    expectBoundContract(In, 12);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedSlice, ::testing::Range(0u, 5u));

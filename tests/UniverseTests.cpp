@@ -199,6 +199,8 @@ TEST_F(UniverseTest, SearchRespectsMinCycles) {
 }
 
 TEST_F(UniverseTest, SearchMaxCyclesTooSmall) {
+  // The critical path (7) already exceeds the ceiling: the search fails
+  // without probing.
   ClassId Goal = app(Builtin::Mul64, {v("x"), v("y")}); // Needs 7.
   Universe U = build({Goal});
   SearchOptions Opts;
@@ -206,14 +208,15 @@ TEST_F(UniverseTest, SearchMaxCyclesTooSmall) {
   SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts,
                                  "cap");
   EXPECT_FALSE(R.Found);
-  EXPECT_NE(R.Error.find("no program within"), std::string::npos);
-  EXPECT_EQ(R.Probes.size(), 3u); // K = 1, 2, 3 all refuted.
-  for (const Probe &P : R.Probes)
-    EXPECT_EQ(P.Result, sat::SolveResult::Unsat);
+  EXPECT_NE(R.Error.find("no program within 3 cycles"), std::string::npos)
+      << R.Error;
+  EXPECT_EQ(R.CriticalPath, 7u);
+  EXPECT_TRUE(R.Probes.empty());
 }
 
 TEST_F(UniverseTest, LatencyBoundOptimum) {
-  // Optimum 7 (mulq latency): the ladder refutes K = 1..6, then finds it.
+  // Optimum 7 (mulq latency), which is also the critical path: the ladder
+  // starts one below it, refutes K = 6 by the deadline alone, then finds 7.
   ClassId Goal = app(Builtin::Mul64, {v("x"), v("y")});
   Universe U = build({Goal});
   SearchOptions Opts;
@@ -222,14 +225,21 @@ TEST_F(UniverseTest, LatencyBoundOptimum) {
                                  "mul");
   ASSERT_TRUE(R.Found) << R.Error;
   EXPECT_EQ(R.Cycles, 7u);
+  EXPECT_EQ(R.CriticalPath, 7u);
   EXPECT_TRUE(R.LowerBoundProved);
-  EXPECT_EQ(R.Probes.size(), 7u);
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Cycles, 6u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+  EXPECT_EQ(R.Probes[0].Conflicts, 0u);
+  EXPECT_EQ(R.Probes[1].Cycles, 7u);
+  EXPECT_EQ(R.Probes[1].Result, sat::SolveResult::Sat);
 }
 
 TEST_F(UniverseTest, ZeroMinCyclesIsTreatedAsOne) {
   // Budget 0 has no cycle layer to encode, so a floor of 0 probes from
-  // K = 1, on the ladder and on the fresh per-K reference alike.
-  ClassId Goal = app(Builtin::Mul64, {v("x"), v("y")});
+  // K = 1, on the ladder and on the fresh per-K reference alike. The goal's
+  // critical path is 1, so the floor, not the bound, picks the first probe.
+  ClassId Goal = app(Builtin::Add64, {v("x"), v("y")});
   Universe U = build({Goal});
   for (bool FreshPerK : {false, true}) {
     SCOPED_TRACE(FreshPerK ? "reference" : "ladder");
@@ -240,10 +250,116 @@ TEST_F(UniverseTest, ZeroMinCyclesIsTreatedAsOne) {
     SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts,
                                    "floor");
     ASSERT_TRUE(R.Found) << R.Error;
-    EXPECT_EQ(R.Cycles, 7u);
-    EXPECT_TRUE(R.LowerBoundProved);
-    ASSERT_EQ(R.Probes.size(), 7u);
+    EXPECT_EQ(R.Cycles, 1u);
+    EXPECT_EQ(R.CriticalPath, 1u);
+    EXPECT_FALSE(R.LowerBoundProved);
+    ASSERT_EQ(R.Probes.size(), 1u);
     EXPECT_EQ(R.Probes.front().Cycles, 1u);
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Scheduling windows and the critical-path bound, computed by hand.
+//===----------------------------------------------------------------------===
+
+/// The critical path of \p Goals on a fresh encoder.
+unsigned criticalPath(const EGraph &G, const alpha::ISA &Isa,
+                      const Universe &U, const std::vector<NamedGoal> &Goals,
+                      const EncoderOptions &Opts = EncoderOptions()) {
+  sat::Solver S;
+  return Encoder(G, Isa, U, Goals, Opts, S).criticalPath();
+}
+
+TEST_F(UniverseTest, CriticalPathOfALoadFeedingAnAdd) {
+  // ldq (latency 3) launches at 0 and completes by the end of cycle 2; the
+  // add launches at 3, so the bound is the load latency + 1.
+  ClassId Load = app(Builtin::Select, {v("M"), v("p")});
+  ClassId Goal = app(Builtin::Add64, {Load, v("x")});
+  Universe U = build({Goal});
+  EXPECT_EQ(criticalPath(G, Isa, U, {{"res", Goal, false}}), 3u + 1u);
+  EXPECT_EQ(criticalPath(G, Isa, U, {{"res", Load, false}}), 3u);
+  SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}},
+                                 SearchOptions(), "ldadd");
+  ASSERT_TRUE(R.Found) << R.Error;
+  EXPECT_EQ(R.Cycles, 4u);
+  EXPECT_EQ(R.CriticalPath, 4u);
+}
+
+TEST_F(UniverseTest, CrossClusterOperandOpensTheWindowLater) {
+  // mulq issues on U1 only (cluster 1) and completes by the end of cycle 6
+  // there, one cycle later on cluster 0. An add of its result may launch at
+  // 7 on a cluster-1 unit but only at 8 on a cluster-0 unit; the bound
+  // takes the faster cluster.
+  ClassId Goal = app(Builtin::Add64, {app(Builtin::Mul64, {v("x"), v("y")}),
+                                      v("z")});
+  Universe U = build({Goal});
+  std::vector<NamedGoal> Goals = {{"res", Goal, false}};
+  sat::Solver S;
+  Encoder Enc(G, Isa, U, Goals, EncoderOptions(), S);
+  EXPECT_EQ(Enc.criticalPath(), 8u);
+  ASSERT_EQ(Isa.crossClusterDelay(), 1u);
+  bool SawAdd = false;
+  for (size_t T = 0; T < U.terms().size(); ++T) {
+    const MachineTerm &MT = U.terms()[T];
+    if (MT.Class != G.find(Goal))
+      continue;
+    SawAdd = true;
+    for (machine::UnitId Un : MT.Units)
+      EXPECT_EQ(Enc.earliestLaunch(static_cast<uint32_t>(T), Un),
+                Isa.clusterOf(Un) == 1 ? 7u : 8u)
+          << Isa.unitName(Un);
+  }
+  EXPECT_TRUE(SawAdd);
+}
+
+TEST_F(UniverseTest, GuardOpensBeforeGuardedLoads) {
+  // Under a guard computed by a cmpult (ready at the end of cycle 0), the
+  // load may launch at 1 at the earliest, so its bound grows from 3 to 4.
+  ClassId Guard = app(Builtin::CmpUlt, {v("x"), v("y")});
+  ClassId Load = app(Builtin::Select, {v("M"), v("p")});
+  Universe U = build({Load, Guard});
+  std::vector<NamedGoal> Goals = {{"res", Load, false}};
+  EXPECT_EQ(criticalPath(G, Isa, U, Goals), 3u);
+  EncoderOptions Guarded;
+  Guarded.GuardClass = Guard;
+  EXPECT_EQ(criticalPath(G, Isa, U, Goals, Guarded), 4u);
+
+  SearchOptions Opts;
+  Opts.Encoding.GuardClass = Guard;
+  SearchResult R = searchBudgets(G, Isa, U, Goals, Opts, "guarded");
+  ASSERT_TRUE(R.Found) << R.Error;
+  EXPECT_EQ(R.Cycles, 4u);
+  EXPECT_EQ(R.CriticalPath, 4u);
+  ASSERT_FALSE(R.Program.Instrs.empty());
+  for (const machine::Instruction &I : R.Program.Instrs) {
+    if (I.Mnemonic == "ldq") {
+      EXPECT_GE(I.Cycle, 1u);
+    }
+  }
+}
+
+TEST_F(UniverseTest, UnreachableGoalIsRejectedWithoutProbing) {
+  // res = h + x where h's only machine form is res - x: every producer of
+  // the goal waits on the goal itself, so no window ever opens.
+  ir::OpId Mystery = Ctx.Ops.declareOp("mystery", 0);
+  ClassId X = v("x");
+  ClassId H = G.addNode(Mystery, {});
+  ClassId Goal = app(Builtin::Add64, {H, X});
+  G.assertEqual(H, app(Builtin::Sub64, {Goal, X}));
+  G.rebuild();
+  Universe U = build({Goal});
+  ASSERT_FALSE(U.producersOf(G.find(Goal)).empty());
+  EXPECT_EQ(criticalPath(G, Isa, U, {{"res", Goal, false}}), Encoder::Never);
+  for (bool FreshPerK : {false, true}) {
+    SCOPED_TRACE(FreshPerK ? "reference" : "ladder");
+    SearchOptions Opts;
+    Opts.FreshPerK = FreshPerK;
+    SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts,
+                                   "cycle");
+    EXPECT_FALSE(R.Found);
+    EXPECT_NE(R.Error.find("no program within 24 cycles"), std::string::npos)
+        << R.Error;
+    EXPECT_TRUE(R.Probes.empty());
   }
 }
 
@@ -266,24 +382,41 @@ TEST_F(UniverseTest, MultipleGoalsShareSubterms) {
 namespace {
 
 TEST_F(UniverseTest, CertifiedRefutations) {
-  // byteswap-style goal whose optimum needs probing: every UNSAT probe
-  // must carry a machine-checked proof.
-  ClassId Goal = app(Builtin::Mul64, {v("x"), v("y")}); // Optimum 7.
-  Universe U = build({Goal});
+  // Every UNSAT probe must carry a machine-checked proof: the refutation
+  // below mulq's critical path, which its deadline alone decides, and one
+  // the solver has to search for.
   SearchOptions Opts;
   Opts.CertifyRefutations = true;
-  SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts,
+  ClassId Mul = app(Builtin::Mul64, {v("x"), v("y")}); // Optimum 7.
+  Universe MulU = build({Mul});
+  SearchResult R = searchBudgets(G, Isa, MulU, {{"res", Mul, false}}, Opts,
                                  "cert");
   ASSERT_TRUE(R.Found) << R.Error;
   EXPECT_EQ(R.Cycles, 7u);
-  unsigned CertifiedRefutations = 0;
-  for (const Probe &P : R.Probes) {
-    if (P.Result != sat::SolveResult::Unsat)
-      continue;
-    EXPECT_TRUE(P.ProofChecked) << "K=" << P.Cycles;
-    ++CertifiedRefutations;
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+  EXPECT_TRUE(R.Probes[0].ProofChecked);
+
+  // Five independent adds have a critical path of 1, but four units issue
+  // at most four of them in cycle 0: refuting K = 1 is a pigeonhole proof
+  // that takes conflicts.
+  std::vector<NamedGoal> Adds;
+  std::vector<ClassId> AddClasses;
+  for (unsigned I = 0; I < 5; ++I) {
+    std::string N = std::to_string(I);
+    AddClasses.push_back(app(Builtin::Add64, {v("a" + N), v("b" + N)}));
+    Adds.push_back({"r" + N, AddClasses.back(), false});
   }
-  EXPECT_EQ(CertifiedRefutations, 6u); // K = 1..6 all certified impossible.
+  Universe AddU = build(AddClasses);
+  R = searchBudgets(G, Isa, AddU, Adds, Opts, "cert5");
+  ASSERT_TRUE(R.Found) << R.Error;
+  EXPECT_EQ(R.Cycles, 2u);
+  EXPECT_EQ(R.CriticalPath, 1u);
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Cycles, 1u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+  EXPECT_GT(R.Probes[0].Conflicts, 0u);
+  EXPECT_TRUE(R.Probes[0].ProofChecked);
 }
 
 } // namespace
