@@ -4,9 +4,8 @@
 // an order of magnitude (and up) beyond the paper-scale GMAs, comparing
 //
 //   eager      per-assert congruence repair + clause scan (the pre-
-//              scheduling behavior, --match-eager-rebuild)
+//              scheduling behavior, MatchLimits::EagerRebuild)
 //   deferred   one batched rebuild per round (the default)
-//   parallel   deferred + the match loop fanned out over 4 workers
 //
 // Stress inputs mix GmaGen corpora (loaded into ONE shared graph so the
 // clause population grows with the tier) with unrolled byteswap chains
@@ -23,10 +22,8 @@
 // the eager arm breaks), which is a different-total-work comparison, not
 // an A/B of the same work. In the rounds-bounded regime both arms close
 // identical graphs (mod class renaming) every round, so the harness gates
-// eager/deferred agreement on the final partition and node/class counts,
-// and gates the parallel arm as bit-identical to the deferred arm,
-// statistics included — the match loop's any-thread-count contract. Raw
-// match counts are not compared across eager and deferred: the two arms
+// eager/deferred agreement on the final partition and node/class counts.
+// Raw match counts are not compared across eager and deferred: the two arms
 // unite classes in different orders and queue different instance counts,
 // and a matcher that enumerates only what changed since the last round
 // finds a number of matches that depends on that order.
@@ -166,12 +163,11 @@ int main(int argc, char **argv) {
   if (!Smoke)
     Tiers.push_back({"30x", 72, 16, NodeBackstop, 6, 1});
 
-  banner("E16", Smoke ? "saturation scaling, eager vs deferred vs parallel "
-                        "(smoke)"
-                      : "saturation scaling, eager vs deferred vs parallel");
-  std::printf("%-6s %-10s %-8s %-8s %-9s %-10s %-10s %-10s %-9s %-8s\n",
-              "tier", "seed-nodes", "nodes", "classes", "quiesced", "eager-s",
-              "deferred-s", "par4-s", "speedup", "attr-ov%");
+  banner("E16", Smoke ? "saturation scaling, eager vs deferred (smoke)"
+                      : "saturation scaling, eager vs deferred");
+  std::printf("%-6s %-10s %-8s %-8s %-9s %-10s %-10s %-9s %-8s\n", "tier",
+              "seed-nodes", "nodes", "classes", "quiesced", "eager-s",
+              "deferred-s", "speedup", "attr-ov%");
 
   enableObsMetrics();
   bool AllOk = true;
@@ -180,7 +176,7 @@ int main(int argc, char **argv) {
     size_t SeedNodes, Nodes, Classes;
     unsigned Gmas;
     bool Quiesced, ModesAgree;
-    double EagerS, DeferredS, Parallel4S, AttrOverheadPct;
+    double EagerS, DeferredS, AttrOverheadPct;
   };
   std::vector<Record> Records;
 
@@ -211,32 +207,29 @@ int main(int argc, char **argv) {
       SeedNodes = G.numNodes();
     }
 
-    match::MatchLimits Eager, Deferred, Parallel;
-    Eager.MaxNodes = Deferred.MaxNodes = Parallel.MaxNodes = T.MaxNodes;
-    Eager.MaxRounds = Deferred.MaxRounds = Parallel.MaxRounds = T.MaxRounds;
+    match::MatchLimits Deferred;
+    Deferred.MaxNodes = T.MaxNodes;
+    Deferred.MaxRounds = T.MaxRounds;
     // Like MaxNodes, the per-round instance cap must not bind: truncating
     // the pending list keeps an enumeration-order-dependent subset, and
     // enumeration order is the one thing that differs between modes.
-    Eager.MaxInstancesPerRound = Deferred.MaxInstancesPerRound =
-        Parallel.MaxInstancesPerRound = 1u << 20;
+    Deferred.MaxInstancesPerRound = 1u << 20;
+    match::MatchLimits Eager = Deferred;
     Eager.EagerRebuild = true;
-    Parallel.Threads = 4;
     // The attribution-overhead A/B: deferred with per-axiom profiling off.
     match::MatchLimits NoProf = Deferred;
     NoProf.Profile = false;
 
-    ArmResult EagerR, DeferredR, ParallelR, NoProfR;
-    double EagerS = 0, DeferredS = 0, Parallel4S = 0, NoProfS = 0;
+    ArmResult EagerR, DeferredR, NoProfR;
+    double EagerS = 0, DeferredS = 0, NoProfS = 0;
     for (int Rep = 0; Rep < T.Reps; ++Rep) {
       // Interleaved min-of-reps, the bench_verify trick against scheduler
       // noise. Stats and partitions are identical across reps.
       double E = runArm(Ctx, Seeds, Eager, EagerR);
       double D = runArm(Ctx, Seeds, Deferred, DeferredR);
-      double P = runArm(Ctx, Seeds, Parallel, ParallelR);
       double N = runArm(Ctx, Seeds, NoProf, NoProfR);
       EagerS = Rep ? std::min(EagerS, E) : E;
       DeferredS = Rep ? std::min(DeferredS, D) : D;
-      Parallel4S = Rep ? std::min(Parallel4S, P) : P;
       NoProfS = Rep ? std::min(NoProfS, N) : N;
     }
     // The overhead A/B needs min-of-3 even on single-rep tiers — it
@@ -251,24 +244,13 @@ int main(int argc, char **argv) {
     double AttrOverheadPct =
         NoProfS > 0 ? 100.0 * (DeferredS - NoProfS) / NoProfS : 0.0;
 
-    bool Quiesced = EagerR.Stats.Quiesced && DeferredR.Stats.Quiesced &&
-                    ParallelR.Stats.Quiesced;
+    bool Quiesced = EagerR.Stats.Quiesced && DeferredR.Stats.Quiesced;
     // The gates: eager and deferred must reach the same closure (the
-    // rounds-bounded regime guarantees it), and the parallel arm must be
-    // bit-identical to the deferred arm, statistics included, for any
-    // thread count.
+    // rounds-bounded regime guarantees it).
     bool ModesAgree =
         EagerR.Partition == DeferredR.Partition &&
         EagerR.Stats.FinalNodes == DeferredR.Stats.FinalNodes &&
         EagerR.Stats.FinalClasses == DeferredR.Stats.FinalClasses &&
-        DeferredR.Partition == ParallelR.Partition &&
-        DeferredR.Stats.FinalNodes == ParallelR.Stats.FinalNodes &&
-        DeferredR.Stats.FinalClasses == ParallelR.Stats.FinalClasses &&
-        DeferredR.Stats.Rounds == ParallelR.Stats.Rounds &&
-        DeferredR.Stats.MatchesFound == ParallelR.Stats.MatchesFound &&
-        DeferredR.Stats.InstancesAsserted ==
-            ParallelR.Stats.InstancesAsserted &&
-        DeferredR.Stats.InstancesDeduped == ParallelR.Stats.InstancesDeduped &&
         // Turning attribution off must not change what the scheduler does.
         DeferredR.Partition == NoProfR.Partition &&
         DeferredR.Stats.FinalNodes == NoProfR.Stats.FinalNodes &&
@@ -276,23 +258,20 @@ int main(int argc, char **argv) {
         DeferredR.Stats.Rounds == NoProfR.Stats.Rounds &&
         DeferredR.Stats.MatchesFound == NoProfR.Stats.MatchesFound;
     if (!ModesAgree) {
-      std::printf("tier %s: arms DISAGREE "
-                  "(eager %zu/%zu, deferred %zu/%zu, parallel %zu/%zu)\n",
+      std::printf("tier %s: arms DISAGREE (eager %zu/%zu, deferred %zu/%zu)\n",
                   T.Name, EagerR.Stats.FinalNodes, EagerR.Stats.FinalClasses,
-                  DeferredR.Stats.FinalNodes, DeferredR.Stats.FinalClasses,
-                  ParallelR.Stats.FinalNodes, ParallelR.Stats.FinalClasses);
+                  DeferredR.Stats.FinalNodes, DeferredR.Stats.FinalClasses);
       AllOk = false;
     }
-    std::printf("%-6s %-10zu %-8zu %-8zu %-9s %-10.3f %-10.3f %-10.3f "
-                "%-9.2f %+.1f%%\n",
+    std::printf("%-6s %-10zu %-8zu %-8zu %-9s %-10.3f %-10.3f %-9.2f "
+                "%+.1f%%\n",
                 T.Name, SeedNodes, DeferredR.Stats.FinalNodes,
                 DeferredR.Stats.FinalClasses, Quiesced ? "yes" : "NO",
-                EagerS, DeferredS, Parallel4S,
-                DeferredS > 0 ? EagerS / DeferredS : 0.0, AttrOverheadPct);
+                EagerS, DeferredS, DeferredS > 0 ? EagerS / DeferredS : 0.0,
+                AttrOverheadPct);
     Records.push_back(Record{T.Name, SeedNodes, DeferredR.Stats.FinalNodes,
                              DeferredR.Stats.FinalClasses, T.Gmas, Quiesced,
-                             ModesAgree, EagerS, DeferredS, Parallel4S,
-                             AttrOverheadPct});
+                             ModesAgree, EagerS, DeferredS, AttrOverheadPct});
   }
 
   // E20: blind budget-backoff vs ledger-warmed adaptive scheduling, on
@@ -416,20 +395,18 @@ int main(int argc, char **argv) {
     std::fprintf(Out, "[\n");
     for (size_t I = 0; I < Records.size(); ++I) {
       const Record &R = Records[I];
-      // speedup_pct fields carry the headline ratios; the _pct suffix
-      // keeps bench_compare from exact-matching a timing-derived number.
+      // speedup_pct carries the headline ratio; the _pct suffix keeps
+      // bench_compare from exact-matching a timing-derived number.
       std::fprintf(
           Out,
           "  {\"tier\": \"%s\", \"gmas\": %u, \"seed_nodes\": %zu, "
           "\"nodes\": %zu, \"classes\": %zu, \"quiesced\": %s, "
           "\"modes_agree\": %s, \"eager_s\": %.6f, \"deferred_s\": %.6f, "
-          "\"parallel4_s\": %.6f, \"speedup_pct\": %.1f, "
-          "\"parallel_speedup_pct\": %.1f, \"attr_overhead_pct\": %.1f}%s\n",
+          "\"speedup_pct\": %.1f, \"attr_overhead_pct\": %.1f}%s\n",
           R.Tier.c_str(), R.Gmas, R.SeedNodes, R.Nodes, R.Classes,
           R.Quiesced ? "true" : "false", R.ModesAgree ? "true" : "false",
-          R.EagerS, R.DeferredS, R.Parallel4S,
+          R.EagerS, R.DeferredS,
           R.DeferredS > 0 ? 100.0 * R.EagerS / R.DeferredS : 0.0,
-          R.Parallel4S > 0 ? 100.0 * R.EagerS / R.Parallel4S : 0.0,
           R.AttrOverheadPct,
           I + 1 < Records.size() || !E20Records.empty() ? "," : "");
     }

@@ -249,8 +249,8 @@ public:
   /// Fully compresses the union-find so subsequent find() calls are pure
   /// reads. Until the next merge, the const query interface (find,
   /// classConstant, classNodes, areDistinct, ...) is then safe to call
-  /// concurrently from many threads — required by the parallel match loop
-  /// and by the compile server, whose workers read one frozen E-graph.
+  /// concurrently from many threads — required by the compile server,
+  /// whose workers read one frozen E-graph.
   void compressPaths() const { UF.compressAll(); }
 
   /// True if A and B are constrained uncombinable, either explicitly or

@@ -46,8 +46,8 @@ public:
 
   /// Fully compresses every path: afterwards (and until the next unite)
   /// find() performs no writes, making concurrent find() calls from many
-  /// threads safe. The parallel match loop and the compile server run this
-  /// before handing a const E-graph to worker threads.
+  /// threads safe. The compile server runs this before handing a const
+  /// E-graph to worker threads.
   void compressAll() const {
     for (size_t I = 0; I < Parent.size(); ++I)
       Parent[I] = find(static_cast<uint32_t>(I));

@@ -28,11 +28,10 @@
 ///   * **Phased rule sets** — cheap simplification axioms saturate first;
 ///     expansive axioms (a side materially larger than the other, e.g.
 ///     k*x -> shifts/adds) join once the cheap phase quiesces.
-///   * **Parallel matching** — the per-round match loop fans out over
-///     work items (axiom x trigger x root-chunk) on a support::ThreadPool;
-///     the graph is path-compressed first so every read is frozen, and
-///     results merge in deterministic item order. Instantiation stays
-///     single-threaded.
+///
+/// Each round enumerates every active (axiom, trigger) against the graph
+/// as the round found it, then merges the matches in that order and
+/// instantiates them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,13 +61,10 @@ struct MatchLimits {
   /// Phase the rule set: expansive axioms wait until the cheap phase
   /// quiesces (`--match-phases`).
   bool Phased = false;
-  /// Worker threads for the per-round match loop; <= 1 matches inline.
-  /// Match *generation* is read-only and concurrent; instantiation and
-  /// merging stay single-threaded per round (`--match-threads`).
-  unsigned Threads = 1;
   /// Restore the pre-scheduling behavior: congruence repair after every
-  /// asserted instance instead of one batched rebuild per round
-  /// (`--match-eager-rebuild`; the bench_egraph_scale A/B baseline).
+  /// asserted instance instead of one batched rebuild per round (the
+  /// reference of the EagerDeferredEquivalence tests and the
+  /// bench_egraph_scale A/B; no flag sets it).
   bool EagerRebuild = false;
   /// Per-axiom attribution (MatchStats::PerAxiom + match.axiom.* counters).
   /// Always on in production; the only reason to turn it off is the
@@ -114,15 +110,10 @@ struct MatchStats {
   // Adaptive scheduling decisions (--match-adaptive; 0 when off).
   uint64_t AdaptiveSeeded = 0;  ///< Axioms whose budget came from history.
   uint64_t AdaptiveDemoted = 0; ///< Never-productive axioms demoted.
-  // Parallel match-loop accounting (match.sched.par.*; 0 single-threaded).
-  uint64_t ParRounds = 0;     ///< Rounds that fanned out on the pool.
-  uint64_t ParItems = 0;      ///< Work items executed on the pool.
-  uint64_t ParChunkRoots = 0; ///< Root nodes covered by those items.
-  uint64_t ParBusyNs = 0;     ///< Summed worker busy time.
   /// Per-axiom attribution, indexed like Matcher::axioms() (empty when
   /// MatchLimits::Profile is off). Raw / Instances / Merges / Overflows /
-  /// Skips / First-LastRound are deterministic for a fixed workload and
-  /// thread-count-independent; the *Ns fields are wall time.
+  /// Skips / First-LastRound are deterministic for a fixed workload; the
+  /// *Ns fields are wall time.
   std::vector<obs::AxiomProfile> PerAxiom;
 };
 

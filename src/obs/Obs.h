@@ -10,9 +10,8 @@
 ///    round/probe, which is what the pipeline does).
 ///  * **Tracing** — RAII `ObsSpan`s and `instant()` markers recorded into
 ///    per-thread event buffers. A full buffer chunk is published to a
-///    global lock-free stack (one CAS), so the parallel match loop's and
-///    the compile server's workers never contend on a mutex while they
-///    record. Collected events export as a Chrome `trace_event` JSON file
+///    global lock-free stack (one CAS), so the compile server's workers
+///    never contend on a mutex while they record. Collected events export as a Chrome `trace_event` JSON file
 ///    (load in `chrome://tracing` / Perfetto) or a JSONL structured log.
 ///  * **Logging** — `logf(level, ...)` writes leveled diagnostics to
 ///    stderr and mirrors them into the event stream.

@@ -5,18 +5,12 @@
 using namespace denali;
 using namespace denali::support;
 
-namespace {
-thread_local int CurrentWorker = -1;
-} // namespace
-
-int ThreadPool::currentWorkerId() { return CurrentWorker; }
-
 ThreadPool::ThreadPool(unsigned Threads) {
   if (Threads == 0)
     Threads = 1;
   Workers.reserve(Threads);
   for (unsigned I = 0; I < Threads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -30,8 +24,7 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::workerLoop(unsigned Index) {
-  CurrentWorker = static_cast<int>(Index);
+void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> Task;
     {

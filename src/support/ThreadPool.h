@@ -1,8 +1,8 @@
 //===- support/ThreadPool.h - Fixed-size worker pool ------------*- C++ -*-===//
 ///
 /// \file
-/// A reusable fixed-size worker pool, used by the parallel match loop
-/// (match/Matcher.cpp) and the compile server (server/Server.cpp).
+/// A reusable fixed-size worker pool, used by the compile server
+/// (server/Server.cpp).
 ///
 /// Tasks are arbitrary callables; submit() returns a std::future carrying
 /// the task's result or, if it threw, its exception.
@@ -55,12 +55,8 @@ public:
     return Result;
   }
 
-  /// The index of the pool worker running the calling thread, or -1 when
-  /// called from a non-pool thread.
-  static int currentWorkerId();
-
 private:
-  void workerLoop(unsigned Index);
+  void workerLoop();
 
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Queue;

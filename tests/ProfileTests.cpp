@@ -379,42 +379,6 @@ TEST(AdaptiveSchedule, NoHistoryIsBitIdenticalToDefaultScheduler) {
   EXPECT_EQ(A.FinalClasses, B.FinalClasses);
 }
 
-TEST(AdaptiveSchedule, ParallelAdaptiveIsBitIdenticalToSequential) {
-  ir::Context Ctx;
-  std::vector<ir::TermId> Seeds = figure2Seeds(Ctx);
-  match::MatchLimits Blind;
-  Blind.MatchBudget = 2;
-  Blind.MaxRounds = 200;
-  obs::ProfileLedger Ledger;
-  runSat(Ctx, Seeds, Blind, nullptr, &Ledger, "g");
-
-  match::MatchLimits Warm = Blind;
-  Warm.Adaptive = true;
-  Warm.Ledger = &Ledger;
-  Warm.LedgerKey = "g";
-  match::MatchStats Seq = runSat(Ctx, Seeds, Warm);
-  Warm.Threads = 4;
-  match::MatchStats Par = runSat(Ctx, Seeds, Warm);
-  EXPECT_EQ(Seq.Rounds, Par.Rounds);
-  EXPECT_EQ(Seq.MatchesFound, Par.MatchesFound);
-  EXPECT_EQ(Seq.InstancesAsserted, Par.InstancesAsserted);
-  EXPECT_EQ(Seq.FinalNodes, Par.FinalNodes);
-  EXPECT_EQ(Seq.FinalClasses, Par.FinalClasses);
-  EXPECT_EQ(Seq.AdaptiveSeeded, Par.AdaptiveSeeded);
-  EXPECT_EQ(Seq.AdaptiveDemoted, Par.AdaptiveDemoted);
-  // The deterministic attribution fields are thread-count-independent.
-  ASSERT_EQ(Seq.PerAxiom.size(), Par.PerAxiom.size());
-  for (size_t I = 0; I < Seq.PerAxiom.size(); ++I) {
-    EXPECT_EQ(Seq.PerAxiom[I].Raw, Par.PerAxiom[I].Raw) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].Instances, Par.PerAxiom[I].Instances) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].Merges, Par.PerAxiom[I].Merges) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].Overflows, Par.PerAxiom[I].Overflows) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].Skips, Par.PerAxiom[I].Skips) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].FirstRound, Par.PerAxiom[I].FirstRound) << I;
-    EXPECT_EQ(Seq.PerAxiom[I].LastRound, Par.PerAxiom[I].LastRound) << I;
-  }
-}
-
 //===----------------------------------------------------------------------===
 // Driver wiring: fingerprints and ledger keys
 //===----------------------------------------------------------------------===
