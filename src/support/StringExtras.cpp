@@ -2,6 +2,8 @@
 
 #include "support/StringExtras.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +76,18 @@ bool denali::parseIntegerLiteral(std::string_view S, int64_t &Out) {
     Val = Val * static_cast<uint64_t>(Base) + static_cast<uint64_t>(Digit);
   }
   Out = Neg ? -static_cast<int64_t>(Val) : static_cast<int64_t>(Val);
+  return true;
+}
+
+bool denali::parsePositiveDecimal(const char *S, unsigned &Out) {
+  if (*S < '1' || *S > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long V = std::strtoul(S, &End, 10);
+  if (*End != '\0' || errno == ERANGE || V > UINT_MAX)
+    return false;
+  Out = static_cast<unsigned>(V);
   return true;
 }
 

@@ -30,6 +30,11 @@ std::vector<std::string> splitString(const std::string &S,
 /// test candidate tokens without materializing a std::string.
 bool parseIntegerLiteral(std::string_view S, int64_t &Out);
 
+/// \returns true if \p S is a positive decimal integer that fits unsigned
+/// (the command-line form of a cycle budget: "8", but not "0", "-3",
+/// "12x" or "abc"); the value is stored in \p Out.
+bool parsePositiveDecimal(const char *S, unsigned &Out);
+
 /// Renders \p V as a decimal if small, hexadecimal otherwise (readability of
 /// masks like 0xffff in printed terms).
 std::string formatConstant(uint64_t V);
