@@ -2,7 +2,7 @@
 ///
 /// \file
 /// A small recursive-descent JSON parser producing an immutable DOM. Used
-/// by the observability tests and the `obs_report` tool to validate and
+/// by the observability tests and the `denali_explain` tool to validate and
 /// query the Chrome trace / metrics artifacts the obs layer writes; it is
 /// a consumer-side checker, not a serializer (the obs exporters format
 /// their JSON directly).

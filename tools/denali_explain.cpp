@@ -1,8 +1,7 @@
 //===- tools/denali_explain.cpp - Explanation & obs artifact tool ---------===//
 //
-// Post-processing for the pipeline's observability artifacts. Built twice:
-// as `denali_explain` (the full tool) and as `obs_report` (the historical
-// name; same binary, kept for scripts and CI recipes).
+// Post-processing for the pipeline's observability artifacts: one binary,
+// `denali_explain`, with one subcommand per artifact kind.
 //
 //   denali_explain trace <trace.json> [--top N]
 //     Reads a Chrome trace_event file and prints the top-N span names by
@@ -29,18 +28,17 @@
 //     (per-span self time per call) or two metrics summaries (per-histogram
 //     avg/p50/p99 plus counter deltas). Exits nonzero when a time metric
 //     exceeds baseline by both --tolerance percent and --min-us
-//     microseconds, or a --require name is missing. Also built as
-//     `denali_profile`, which defaults to this mode; perf_smoke gates
-//     BENCH_server latency drift with it.
+//     microseconds, or a --require name is missing. perf_smoke gates
+//     BENCH_server and BENCH_egraph_scale latency drift with it.
 //
 //   denali_explain egraph <egraph.json | metrics.txt>
 //     Summarizes a `denali --egraph-json` dump: classes, nodes, constants,
 //     and the largest classes by member count. Given a plain-text metrics
 //     summary instead (`--metrics-out`, BENCH_*.metrics.txt), reports the
 //     saturation scheduling work from the match.* / match.sched.* counters
-//     — rounds, matches, merges, rebuild passes, budget backoff, seen-set
-//     dedup — with per-round averages, so a scheduling regression is
-//     diagnosable from a metrics file alone.
+//     — rounds, matches, merges, rebuild passes, budget backoff, matches
+//     dropped as already queued — with per-round averages, so a scheduling
+//     regression is diagnosable from a metrics file alone.
 //
 //   denali_explain rules <ledger.jsonl> [--top N]
 //   denali_explain rules <baseline.jsonl> <current.jsonl> [--tolerance PCT]
@@ -78,7 +76,7 @@ namespace json = denali::support::json;
 
 namespace {
 
-/// Diagnostic prefix: the name this binary was invoked under.
+/// Diagnostic prefix.
 const char *Prog = "denali_explain";
 
 bool readFile(const char *Path, std::string &Out) {
@@ -493,9 +491,9 @@ bool looksLikeTrace(const std::string &Text) {
   return I != std::string::npos && Text[I] == '{';
 }
 
-/// The regression-diff mode (also reachable as the `denali_profile`
-/// binary): loads two captures of the same kind — two Chrome traces or two
-/// plain-text metrics summaries — and compares per-stage times. Trace
+/// The regression-diff mode: loads two captures of the same kind — two
+/// Chrome traces or two plain-text metrics summaries — and compares
+/// per-stage times. Trace
 /// captures compare per-span-name *self time per call*; metrics captures
 /// compare each shared histogram's avg/p50/p99 (µs for the span.* and
 /// server.win.* families). A metric regresses when the current value
@@ -778,40 +776,22 @@ int rulesDiffReport(const char *BasePath, const char *CurPath,
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc > 0 && argv[0]) {
-    const char *Slash = std::strrchr(argv[0], '/');
-    Prog = Slash ? Slash + 1 : argv[0];
-  }
   const char *Mode = argc > 1 ? argv[1] : nullptr;
-  // The denali_profile alias defaults to profile mode, so CI recipes read
-  //   denali_profile <baseline> <current> [--tolerance N]
-  // without repeating the mode word. An explicit mode still wins.
-  auto isKnownMode = [](const char *M) {
-    return !std::strcmp(M, "trace") || !std::strcmp(M, "metrics") ||
-           !std::strcmp(M, "explain") || !std::strcmp(M, "egraph") ||
-           !std::strcmp(M, "profile") || !std::strcmp(M, "rules");
-  };
-  int ArgBase = 2;
-  if (Mode && !isKnownMode(Mode) && Mode[0] != '-' &&
-      !std::strcmp(Prog, "denali_profile")) {
-    Mode = "profile";
-    ArgBase = 1;
-  }
-  const char *Path = argc > ArgBase ? argv[ArgBase] : nullptr;
+  const char *Path = argc > 2 ? argv[2] : nullptr;
   const bool IsProfile = Mode && !std::strcmp(Mode, "profile");
   // rules takes an optional second ledger (diff form).
   const bool IsRules = Mode && !std::strcmp(Mode, "rules");
   const char *Path2 = nullptr;
-  if (IsProfile && argc > ArgBase + 1)
-    Path2 = argv[ArgBase + 1];
-  else if (IsRules && argc > ArgBase + 1 && argv[ArgBase + 1][0] != '-')
-    Path2 = argv[ArgBase + 1];
+  if (IsProfile && argc > 3)
+    Path2 = argv[3];
+  else if (IsRules && argc > 3 && argv[3][0] != '-')
+    Path2 = argv[3];
   size_t TopN = 10;
   std::string Require;
   bool RequireChains = false;
   double TolerancePct = 10;
   double MinUs = 50;
-  for (int I = ArgBase + (Path2 ? 2 : 1); I < argc; ++I) {
+  for (int I = Path2 ? 4 : 3; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--top") && I + 1 < argc)
       TopN = static_cast<size_t>(std::atoll(argv[++I]));
     else if (!std::strcmp(argv[I], "--require") && I + 1 < argc)
