@@ -22,7 +22,7 @@ const char *denali::alpha::unitName(Unit U) {
   DENALI_UNREACHABLE("bad unit");
 }
 
-ISA::ISA(ir::Context &Ctx, Machine M) : Model(M) {
+ISA::ISA(ir::Context &Ctx) {
   // U/L by capability, 0/1 by cluster; unit index order matches the Unit
   // enum (and the historical mask constants).
   addUnit("U0", 0);
@@ -87,8 +87,7 @@ ISA::ISA(ir::Context &Ctx, Machine M) : Model(M) {
     InstrDesc D;
     D.Op = Ctx.Ops.builtin(R.B);
     D.Mnemonic = R.Mnemonic;
-    // SimpleQuad: every unit executes everything; latencies unchanged.
-    D.UnitMask = Model == Machine::EV6 ? R.UnitMask : MaskAll;
+    D.UnitMask = R.UnitMask;
     D.Latency = R.Latency;
     D.Mem = R.Mem;
     D.AllowsImm = R.Imm8;
@@ -107,7 +106,6 @@ ISA::ISA(ir::Context &Ctx, Machine M) : Model(M) {
 
 void denali::alpha::registerAlphaMachine() {
   machine::registerMachine("alpha", [](ir::Context &Ctx) {
-    return std::unique_ptr<machine::MachineModel>(
-        new ISA(Ctx, Machine::EV6));
+    return std::unique_ptr<machine::MachineModel>(new ISA(Ctx));
   });
 }

@@ -59,29 +59,18 @@ constexpr uint8_t MaskUpper = MaskU0 | MaskU1;
 constexpr uint8_t MaskLower = MaskL0 | MaskL1;
 constexpr uint8_t MaskAll = MaskUpper | MaskLower;
 
-/// Machine model selector. The paper notes retargeting (to the Itanium)
-/// mostly means new axioms plus a new architectural description; the
-/// second model demonstrates the description is data, not code:
-///  * EV6 — the paper's target: clustered quad issue, upper-only shifter
-///    and byte unit, U1-only multiplier, lower-only memory pipes;
-///  * SimpleQuad — an idealized single-cluster quad-issue machine where
-///    every unit executes everything (an upper bound on EV6 schedules).
-enum class Machine { EV6, SimpleQuad };
-
-/// The EV6 machine description: operator -> instruction table plus global
-/// timing parameters, behind the generic MachineModel interface.
+/// The EV6 machine description — the paper's target: clustered quad
+/// issue, upper-only shifter and byte unit, U1-only multiplier, lower-only
+/// memory pipes. An operator -> instruction table plus global timing
+/// parameters, behind the generic MachineModel interface.
 class ISA : public machine::MachineModel {
 public:
-  explicit ISA(ir::Context &Ctx, Machine Model = Machine::EV6);
-
-  Machine model() const { return Model; }
+  explicit ISA(ir::Context &Ctx);
 
   std::string name() const override { return "alpha"; }
 
   /// Extra cycles before a result is usable on the other cluster.
-  unsigned crossClusterDelay() const override {
-    return Model == Machine::EV6 ? 1 : 0;
-  }
+  unsigned crossClusterDelay() const override { return 1; }
 
   /// The 8-bit ALU literal occupies the Rb slot: the last source for plain
   /// ALU ops but the middle (value) operand for conditional moves
@@ -92,12 +81,9 @@ public:
       return 1;
     return Arity - 1;
   }
-
-private:
-  Machine Model;
 };
 
-/// Registers the "alpha" backend (EV6 variant). Idempotent; call before
+/// Registers the "alpha" backend. Idempotent; call before
 /// machine::createMachine.
 void registerAlphaMachine();
 

@@ -108,7 +108,7 @@ denali::baseline::extractBestTerm(const EGraph &G, const machine::MachineModel &
   return Out;
 }
 
-std::optional<alpha::Program> denali::baseline::extractAndSchedule(
+std::optional<machine::Program> denali::baseline::extractAndSchedule(
     EGraph &G, const machine::MachineModel &Isa,
     const std::vector<std::pair<std::string, ClassId>> &Goals,
     const std::string &Name, std::string *ErrorOut) {

@@ -16,8 +16,8 @@
 #ifndef DENALI_BASELINE_EGRAPHEXTRACT_H
 #define DENALI_BASELINE_EGRAPHEXTRACT_H
 
-#include "alpha/Assembly.h"
 #include "alpha/ISA.h"
+#include "machine/Program.h"
 #include "egraph/EGraph.h"
 #include "ir/Term.h"
 
@@ -42,7 +42,7 @@ std::optional<ExtractResult> extractBestTerm(const egraph::EGraph &G,
 
 /// Full pipeline of the equality-saturation baseline: extract best terms
 /// for the goals, then list-schedule them with the naive code generator.
-std::optional<alpha::Program> extractAndSchedule(
+std::optional<machine::Program> extractAndSchedule(
     egraph::EGraph &G, const machine::MachineModel &Isa,
     const std::vector<std::pair<std::string, egraph::ClassId>> &Goals,
     const std::string &Name, std::string *ErrorOut);

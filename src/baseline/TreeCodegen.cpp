@@ -23,9 +23,9 @@ public:
       : Ctx(Ctx), Isa(Isa), ErrorOut(ErrorOut) {}
 
   bool run(const std::vector<std::pair<std::string, ir::TermId>> &Goals,
-           alpha::Program &P) {
+           machine::Program &P) {
     for (const auto &[Target, Term] : Goals) {
-      std::optional<alpha::Operand> Op = lower(Term);
+      std::optional<machine::Operand> Op = lower(Term);
       if (!Op)
         return false;
       uint32_t Reg;
@@ -47,9 +47,9 @@ private:
   const ir::Context &Ctx;
   const machine::MachineModel &Isa;
   std::string *ErrorOut;
-  std::vector<alpha::Instruction> Instrs;
-  std::vector<alpha::ProgramInput> Inputs;
-  std::unordered_map<ir::TermId, alpha::Operand> Memo;
+  std::vector<machine::Instruction> Instrs;
+  std::vector<machine::ProgramInput> Inputs;
+  std::unordered_map<ir::TermId, machine::Operand> Memo;
   std::unordered_map<uint64_t, uint32_t> ConstRegs;
   std::unordered_map<ir::OpId, uint32_t> InputRegs;
   uint32_t NextReg = 0;
@@ -60,10 +60,10 @@ private:
     return false;
   }
 
-  uint32_t emit(Builtin B, std::vector<alpha::Operand> Srcs,
+  uint32_t emit(Builtin B, std::vector<machine::Operand> Srcs,
                 alpha::MemKind Mem = alpha::MemKind::None, int64_t Disp = 0) {
     const alpha::InstrDesc *Desc = Isa.descFor(Ctx.Ops.builtin(B));
-    alpha::Instruction I;
+    machine::Instruction I;
     I.Mnemonic = Desc->Mnemonic;
     I.Op = Desc->Op;
     I.Srcs = std::move(Srcs);
@@ -79,10 +79,10 @@ private:
     auto It = ConstRegs.find(V);
     if (It != ConstRegs.end())
       return It->second;
-    alpha::Instruction I;
+    machine::Instruction I;
     I.Mnemonic = Isa.constMaterialize().Mnemonic;
     I.Op = Isa.constMaterialize().Op;
-    I.Srcs = {alpha::Operand::imm(V)};
+    I.Srcs = {machine::Operand::imm(V)};
     I.Dest = NextReg++;
     I.Latency = Isa.constMaterialize().Latency;
     Instrs.push_back(std::move(I));
@@ -92,7 +92,7 @@ private:
 
   /// Operand conversion honoring the machine's literal slot: position
   /// \p ArgIdx of an instruction described by \p Desc.
-  std::optional<alpha::Operand> asOperand(const alpha::Operand &Op,
+  std::optional<machine::Operand> asOperand(const machine::Operand &Op,
                                           const alpha::InstrDesc *Desc,
                                           size_t ArgIdx, size_t Arity) {
     if (Op.isReg())
@@ -104,52 +104,52 @@ private:
                    Isa.immFits(*Desc, Op.Imm);
     if (ImmSlot)
       return Op;
-    return alpha::Operand::reg(materializeConst(Op.Imm));
+    return machine::Operand::reg(materializeConst(Op.Imm));
   }
 
-  std::optional<alpha::Operand> lower(ir::TermId T) {
+  std::optional<machine::Operand> lower(ir::TermId T) {
     auto It = Memo.find(T);
     if (It != Memo.end())
       return It->second;
-    std::optional<alpha::Operand> Result = lowerUncached(T);
+    std::optional<machine::Operand> Result = lowerUncached(T);
     if (Result)
       Memo.emplace(T, *Result);
     return Result;
   }
 
-  std::optional<alpha::Operand>
+  std::optional<machine::Operand>
   lowerMachine(Builtin B, const std::vector<ir::TermId> &Children) {
     const alpha::InstrDesc *Desc = Isa.descFor(Ctx.Ops.builtin(B));
-    std::vector<alpha::Operand> Srcs;
+    std::vector<machine::Operand> Srcs;
     for (size_t I = 0; I < Children.size(); ++I) {
-      std::optional<alpha::Operand> C = lower(Children[I]);
+      std::optional<machine::Operand> C = lower(Children[I]);
       if (!C)
         return std::nullopt;
-      std::optional<alpha::Operand> Op =
+      std::optional<machine::Operand> Op =
           asOperand(*C, Desc, I, Children.size());
       if (!Op)
         return std::nullopt;
       Srcs.push_back(*Op);
     }
-    return alpha::Operand::reg(emit(B, std::move(Srcs)));
+    return machine::Operand::reg(emit(B, std::move(Srcs)));
   }
 
-  std::optional<alpha::Operand> lowerUncached(ir::TermId T) {
+  std::optional<machine::Operand> lowerUncached(ir::TermId T) {
     const ir::TermNode &N = Ctx.Terms.node(T);
     const ir::OpInfo &Info = Ctx.Ops.info(N.Op);
 
     if (Info.BuiltinOp == Builtin::Const)
-      return alpha::Operand::imm(N.ConstVal);
+      return machine::Operand::imm(N.ConstVal);
     if (Info.Kind == ir::OpKind::Variable) {
       auto It = InputRegs.find(N.Op);
       if (It != InputRegs.end())
-        return alpha::Operand::reg(It->second);
+        return machine::Operand::reg(It->second);
       uint32_t R = NextReg++;
       // Memory-ness is determined by use; patched by the select/store
       // lowering below.
       Inputs.push_back({R, Info.Name, false});
       InputRegs.emplace(N.Op, R);
-      return alpha::Operand::reg(R);
+      return machine::Operand::reg(R);
     }
     if (Info.Kind == ir::OpKind::Declared)
       return fail(strFormat("naive codegen cannot lower declared operator "
@@ -162,7 +162,7 @@ private:
       std::optional<ir::Value> V = ir::evalTerm(Ctx.Terms, T, {}, nullptr,
                                                 &EvalErr);
       if (V && V->isInt())
-        return alpha::Operand::imm(V->asInt());
+        return machine::Operand::imm(V->asInt());
     }
 
     Builtin B = Info.BuiltinOp;
@@ -172,11 +172,11 @@ private:
     switch (B) {
     case Builtin::Select:
     case Builtin::Store: {
-      std::optional<alpha::Operand> Mem = lower(N.Children[0]);
+      std::optional<machine::Operand> Mem = lower(N.Children[0]);
       if (!Mem)
         return std::nullopt;
       if (Mem->isReg())
-        for (alpha::ProgramInput &In : Inputs)
+        for (machine::ProgramInput &In : Inputs)
           if (In.Reg == Mem->Reg)
             In.IsMemory = true;
       // Fold add64(base, k) addresses into the displacement.
@@ -192,20 +192,20 @@ private:
           Addr = AN.Children[0];
         }
       }
-      std::optional<alpha::Operand> Base = lower(Addr);
+      std::optional<machine::Operand> Base = lower(Addr);
       if (!Base)
         return std::nullopt;
       if (!Base->isReg() && Base->Imm != 0)
-        Base = alpha::Operand::reg(materializeConst(Base->Imm));
+        Base = machine::Operand::reg(materializeConst(Base->Imm));
       if (B == Builtin::Select)
-        return alpha::Operand::reg(
+        return machine::Operand::reg(
             emit(Builtin::Select, {*Mem, *Base}, alpha::MemKind::Load, Disp));
-      std::optional<alpha::Operand> Val = lower(N.Children[2]);
+      std::optional<machine::Operand> Val = lower(N.Children[2]);
       if (!Val)
         return std::nullopt;
       if (!Val->isReg() && Val->Imm != 0)
-        Val = alpha::Operand::reg(materializeConst(Val->Imm));
-      return alpha::Operand::reg(emit(Builtin::Store, {*Mem, *Base, *Val},
+        Val = machine::Operand::reg(materializeConst(Val->Imm));
+      return machine::Operand::reg(emit(Builtin::Store, {*Mem, *Base, *Val},
                                       alpha::MemKind::Store, Disp));
     }
     case Builtin::SelectB:
@@ -217,13 +217,13 @@ private:
       // storeb(w, i, x) = bis(mskbl(w, i), insbl(x, i)).
       Builtin Msk = B == Builtin::StoreB ? Builtin::Mskbl : Builtin::Mskwl;
       Builtin Ins = B == Builtin::StoreB ? Builtin::Insbl : Builtin::Inswl;
-      std::optional<alpha::Operand> M =
+      std::optional<machine::Operand> M =
           lowerMachine(Msk, {N.Children[0], N.Children[1]});
-      std::optional<alpha::Operand> I =
+      std::optional<machine::Operand> I =
           lowerMachine(Ins, {N.Children[2], N.Children[1]});
       if (!M || !I)
         return std::nullopt;
-      return alpha::Operand::reg(emit(Builtin::Or64, {*M, *I}));
+      return machine::Operand::reg(emit(Builtin::Or64, {*M, *I}));
     }
     case Builtin::Zext8:
       return lowerViaZapnot(N.Children[0], 0x1);
@@ -244,42 +244,42 @@ private:
     }
   }
 
-  std::optional<alpha::Operand> lowerViaZapnot(ir::TermId Arg,
+  std::optional<machine::Operand> lowerViaZapnot(ir::TermId Arg,
                                                uint64_t Mask) {
-    std::optional<alpha::Operand> A = lower(Arg);
+    std::optional<machine::Operand> A = lower(Arg);
     if (!A)
       return std::nullopt;
-    std::optional<alpha::Operand> Op = asOperand(
+    std::optional<machine::Operand> Op = asOperand(
         *A, Isa.descFor(Ctx.Ops.builtin(Builtin::Zapnot)), 0, 2);
-    return alpha::Operand::reg(
-        emit(Builtin::Zapnot, {*Op, alpha::Operand::imm(Mask)}));
+    return machine::Operand::reg(
+        emit(Builtin::Zapnot, {*Op, machine::Operand::imm(Mask)}));
   }
 
-  std::optional<alpha::Operand> lowerShiftPair(ir::TermId Arg,
+  std::optional<machine::Operand> lowerShiftPair(ir::TermId Arg,
                                                uint64_t Amount) {
-    std::optional<alpha::Operand> A = lower(Arg);
+    std::optional<machine::Operand> A = lower(Arg);
     if (!A)
       return std::nullopt;
     if (!A->isReg() && A->Imm != 0)
-      A = alpha::Operand::reg(materializeConst(A->Imm));
+      A = machine::Operand::reg(materializeConst(A->Imm));
     uint32_t Left =
-        emit(Builtin::Shl64, {*A, alpha::Operand::imm(Amount)});
-    return alpha::Operand::reg(emit(
+        emit(Builtin::Shl64, {*A, machine::Operand::imm(Amount)});
+    return machine::Operand::reg(emit(
         Builtin::Sar64,
-        {alpha::Operand::reg(Left), alpha::Operand::imm(Amount)}));
+        {machine::Operand::reg(Left), machine::Operand::imm(Amount)}));
   }
 };
 
 /// Greedy critical-path list scheduler over the machine's unit/latency/
 /// cluster model.
-void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
+void listSchedule(const machine::MachineModel &Isa, machine::Program &P) {
   size_t N = P.Instrs.size();
   // Producer index per vreg.
   std::unordered_map<uint32_t, size_t> ProducerOf;
   for (size_t I = 0; I < N; ++I)
     ProducerOf[P.Instrs[I].Dest] = I;
   std::unordered_set<uint32_t> InputRegs;
-  for (const alpha::ProgramInput &In : P.Inputs)
+  for (const machine::ProgramInput &In : P.Inputs)
     InputRegs.insert(In.Reg);
 
   // Heights (critical path to any consumer-free end).
@@ -288,7 +288,7 @@ void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
     Height[I] = P.Instrs[I].Latency;
     // Consumers appear later in emission order.
     for (size_t J = I + 1; J < N; ++J)
-      for (const alpha::Operand &S : P.Instrs[J].Srcs)
+      for (const machine::Operand &S : P.Instrs[J].Srcs)
         if (S.isReg() && S.Reg == P.Instrs[I].Dest)
           Height[I] = std::max(Height[I], P.Instrs[I].Latency + Height[J]);
   }
@@ -320,7 +320,7 @@ void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
         if (!Desc || !(Desc->UnitMask & (1u << UIdx)))
           continue;
         bool Ready = true;
-        for (const alpha::Operand &S : P.Instrs[I].Srcs) {
+        for (const machine::Operand &S : P.Instrs[I].Srcs) {
           if (!S.isReg())
             continue;
           auto It = ReadyAt.find(S.Reg);
@@ -345,7 +345,7 @@ void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
       }
       if (Best == N)
         continue;
-      alpha::Instruction &I = P.Instrs[Best];
+      machine::Instruction &I = P.Instrs[Best];
       I.Cycle = Cycle;
       I.IssueUnit = Un;
       Done[Best] = true;
@@ -362,8 +362,8 @@ void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
   }
   P.Cycles = Makespan;
   std::stable_sort(P.Instrs.begin(), P.Instrs.end(),
-                   [](const alpha::Instruction &A,
-                      const alpha::Instruction &B) {
+                   [](const machine::Instruction &A,
+                      const machine::Instruction &B) {
                      if (A.Cycle != B.Cycle)
                        return A.Cycle < B.Cycle;
                      return A.IssueUnit < B.IssueUnit;
@@ -372,11 +372,11 @@ void listSchedule(const machine::MachineModel &Isa, alpha::Program &P) {
 
 } // namespace
 
-std::optional<alpha::Program> denali::baseline::naiveCodegen(
+std::optional<machine::Program> denali::baseline::naiveCodegen(
     const ir::Context &Ctx, const machine::MachineModel &Isa,
     const std::vector<std::pair<std::string, ir::TermId>> &Goals,
     const std::string &Name, std::string *ErrorOut) {
-  alpha::Program P;
+  machine::Program P;
   P.Name = Name;
   P.Model = &Isa;
   Lowering L(Ctx, Isa, ErrorOut);

@@ -16,8 +16,8 @@
 #ifndef DENALI_BASELINE_TREECODEGEN_H
 #define DENALI_BASELINE_TREECODEGEN_H
 
-#include "alpha/Assembly.h"
 #include "alpha/ISA.h"
+#include "machine/Program.h"
 #include "ir/Term.h"
 
 #include <optional>
@@ -30,7 +30,7 @@ namespace baseline {
 /// Lowers the goal terms to EV6 code by structural translation and list
 /// scheduling. \returns std::nullopt with \p ErrorOut if some operator has
 /// no lowering.
-std::optional<alpha::Program>
+std::optional<machine::Program>
 naiveCodegen(const ir::Context &Ctx, const machine::MachineModel &Isa,
              const std::vector<std::pair<std::string, ir::TermId>> &Goals,
              const std::string &Name, std::string *ErrorOut);

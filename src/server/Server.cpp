@@ -78,9 +78,9 @@ driver::GmaResult denali::server::renameResult(const driver::GmaResult &Cached,
     if (From.Targets[I] != ToCanon.Targets[I])
       TargetMap[From.Targets[I]] = ToCanon.Targets[I];
 
-  alpha::Program &P = R.Search.Program;
+  machine::Program &P = R.Search.Program;
   P.Name = To.Name;
-  for (alpha::ProgramInput &In : P.Inputs) {
+  for (machine::ProgramInput &In : P.Inputs) {
     auto It = OldToNew.find(In.Name);
     if (It != OldToNew.end())
       In.Name = It->second;

@@ -1,11 +1,13 @@
 //===- tests/AlphaTests.cpp - machine model & simulator tests -------------===//
 
-#include "alpha/Simulator.h"
+#include "alpha/ISA.h"
+#include "machine/Sim.h"
 
 #include <gtest/gtest.h>
 
 using namespace denali;
 using namespace denali::alpha;
+using namespace denali::machine;
 using denali::ir::Builtin;
 
 namespace {

@@ -1,6 +1,7 @@
 //===- tests/BaselineTests.cpp - baseline implementations tests -----------===//
 
-#include "alpha/Simulator.h"
+#include "alpha/ISA.h"
+#include "machine/Sim.h"
 #include "baseline/BruteForce.h"
 #include "baseline/Rewriter.h"
 #include "baseline/TreeCodegen.h"
@@ -29,21 +30,21 @@ protected:
     return Ctx.Terms.makeBuiltin(B, Args);
   }
 
-  alpha::Program gen(ir::TermId Goal) {
+  machine::Program gen(ir::TermId Goal) {
     std::string Err;
     auto P = naiveCodegen(Ctx, Isa, {{"res", Goal}}, "naive", &Err);
     EXPECT_TRUE(P.has_value()) << Err;
-    return P ? std::move(*P) : alpha::Program();
+    return P ? std::move(*P) : machine::Program();
   }
 
-  void checkFunctional(const alpha::Program &P, ir::TermId Goal,
+  void checkFunctional(const machine::Program &P, ir::TermId Goal,
                        uint64_t X, uint64_t Y) {
     ir::Env E;
     E[Ctx.Ops.makeVariable("x")] = ir::Value::makeInt(X);
     E[Ctx.Ops.makeVariable("y")] = ir::Value::makeInt(Y);
     auto Want = ir::evalTerm(Ctx.Terms, Goal, E);
     ASSERT_TRUE(Want.has_value());
-    alpha::RunResult Run = alpha::runProgram(
+    machine::RunResult Run = machine::runProgram(
         Ctx, P,
         {{"x", ir::Value::makeInt(X)}, {"y", ir::Value::makeInt(Y)}});
     ASSERT_TRUE(Run.Ok) << Run.Error;
@@ -54,10 +55,10 @@ protected:
 TEST_F(TreeCodegenTest, StraightLine) {
   ir::TermId Goal = app(Builtin::Add64, {app(Builtin::Mul64, {v("x"), c(4)}),
                                          c(1)});
-  alpha::Program P = gen(Goal);
+  machine::Program P = gen(Goal);
   // Naive codegen emits mulq (latency 7) + addq: at least 8 cycles.
   EXPECT_GE(P.Cycles, 8u);
-  alpha::TimingReport TR = alpha::validateTiming(Isa, P);
+  machine::TimingReport TR = machine::validateTiming(Isa, P);
   EXPECT_TRUE(TR.Ok) << TR.Error << P.toString();
   checkFunctional(P, Goal, 10, 0);
 }
@@ -70,8 +71,8 @@ TEST_F(TreeCodegenTest, ScheduleRespectsUnits) {
                            app(Builtin::Shl64, {v("x"), c(2)})}),
        app(Builtin::Or64, {app(Builtin::Shl64, {v("x"), c(3)}),
                            app(Builtin::Shl64, {v("x"), c(4)})})});
-  alpha::Program P = gen(Goal);
-  alpha::TimingReport TR = alpha::validateTiming(Isa, P);
+  machine::Program P = gen(Goal);
+  machine::TimingReport TR = machine::validateTiming(Isa, P);
   EXPECT_TRUE(TR.Ok) << TR.Error << P.toString();
   checkFunctional(P, Goal, 0x1234, 0);
 }
@@ -79,8 +80,8 @@ TEST_F(TreeCodegenTest, ScheduleRespectsUnits) {
 TEST_F(TreeCodegenTest, ByteOpsLowered) {
   ir::TermId Goal = app(
       Builtin::StoreB, {c(0), c(1), app(Builtin::SelectB, {v("x"), c(3)})});
-  alpha::Program P = gen(Goal);
-  alpha::TimingReport TR = alpha::validateTiming(Isa, P);
+  machine::Program P = gen(Goal);
+  machine::TimingReport TR = machine::validateTiming(Isa, P);
   EXPECT_TRUE(TR.Ok) << TR.Error << P.toString();
   checkFunctional(P, Goal, 0x8877665544332211ULL, 0);
 }
@@ -89,14 +90,14 @@ TEST_F(TreeCodegenTest, MemoryOps) {
   ir::TermId M = v("M");
   ir::TermId Goal =
       app(Builtin::Select, {M, app(Builtin::Add64, {v("x"), c(8)})});
-  alpha::Program P = gen(Goal);
-  alpha::TimingReport TR = alpha::validateTiming(Isa, P);
+  machine::Program P = gen(Goal);
+  machine::TimingReport TR = machine::validateTiming(Isa, P);
   EXPECT_TRUE(TR.Ok) << TR.Error << P.toString();
   // Displacement folded.
   ASSERT_EQ(P.Instrs.size(), 1u);
   EXPECT_EQ(P.Instrs[0].Disp, 8);
   ir::Value Mem = ir::Value::makeArray(2);
-  alpha::RunResult Run = alpha::runProgram(
+  machine::RunResult Run = machine::runProgram(
       Ctx, P, {{"M", Mem}, {"x", ir::Value::makeInt(100)}});
   ASSERT_TRUE(Run.Ok) << Run.Error;
   EXPECT_EQ(Run.Outputs.at("res").asInt(), Mem.select(108));
@@ -105,7 +106,7 @@ TEST_F(TreeCodegenTest, MemoryOps) {
 TEST_F(TreeCodegenTest, ConstantSubtreesFold) {
   ir::TermId Goal = app(Builtin::Add64, {v("x"),
                                          app(Builtin::Mul64, {c(6), c(7)})});
-  alpha::Program P = gen(Goal);
+  machine::Program P = gen(Goal);
   // 42 fits the literal slot: a single addq.
   EXPECT_EQ(P.Instrs.size(), 1u);
 }
@@ -375,29 +376,17 @@ TEST_F(ExtractTest, ExtractAndScheduleRuns) {
   std::string Err;
   auto P = extractAndSchedule(G, Isa, {{"res", G.find(Goal)}}, "es", &Err);
   ASSERT_TRUE(P.has_value()) << Err;
-  alpha::TimingReport TR = alpha::validateTiming(Isa, *P);
+  machine::TimingReport TR = machine::validateTiming(Isa, *P);
   EXPECT_TRUE(TR.Ok) << TR.Error;
   ir::Env E;
   E[Ctx.Ops.makeVariable("a")] = ir::Value::makeInt(0x1234);
   E[Ctx.Ops.makeVariable("b")] = ir::Value::makeInt(0xff00);
-  alpha::RunResult Run = alpha::runProgram(
+  machine::RunResult Run = machine::runProgram(
       Ctx, *P,
       {{"a", ir::Value::makeInt(0x1234)}, {"b", ir::Value::makeInt(0xff00)}});
   ASSERT_TRUE(Run.Ok) << Run.Error;
   EXPECT_EQ(Run.Outputs.at("res").asInt(),
             (0x1234ULL << 8) | (0xff00ULL >> 8));
-}
-
-TEST_F(ExtractTest, SimpleQuadModelLoosensUnits) {
-  // On SimpleQuad every unit executes shifts, so four independent shifts
-  // schedule in one cycle; on EV6 the two upper units bound it at two.
-  ir::Context Ctx2;
-  alpha::ISA Ev6(Ctx2, alpha::Machine::EV6);
-  alpha::ISA Simple(Ctx2, alpha::Machine::SimpleQuad);
-  EXPECT_EQ(Ev6.crossClusterDelay(), 1u);
-  EXPECT_EQ(Simple.crossClusterDelay(), 0u);
-  EXPECT_EQ(Simple.descFor(Ctx2.Ops.builtin(Builtin::Shl64))->UnitMask,
-            alpha::MaskAll);
 }
 
 } // namespace

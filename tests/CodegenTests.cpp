@@ -1,6 +1,7 @@
 //===- tests/CodegenTests.cpp - encoder/extractor/search tests ------------===//
 
-#include "alpha/Simulator.h"
+#include "alpha/ISA.h"
+#include "machine/Sim.h"
 #include "axioms/BuiltinAxioms.h"
 #include "codegen/Search.h"
 #include "match/Elaborate.h"
@@ -62,9 +63,9 @@ protected:
       const std::unordered_map<std::string, ir::Value> &Inputs,
       const std::unordered_map<std::string, ir::Value> &Expected) {
     ASSERT_TRUE(R.Found) << R.Error;
-    alpha::TimingReport TR = alpha::validateTiming(Isa, R.Program);
+    machine::TimingReport TR = machine::validateTiming(Isa, R.Program);
     EXPECT_TRUE(TR.Ok) << TR.Error << "\n" << R.Program.toString();
-    alpha::RunResult Run = alpha::runProgram(Ctx, R.Program, Inputs);
+    machine::RunResult Run = machine::runProgram(Ctx, R.Program, Inputs);
     ASSERT_TRUE(Run.Ok) << Run.Error << "\n" << R.Program.toString();
     for (const auto &[Name, Want] : Expected) {
       auto It = Run.Outputs.find(Name);
@@ -226,17 +227,17 @@ TEST_F(PipelineTest, StoreLoadReorderFreedom) {
   // scheduled after the stq that overwrites it.
   unsigned StoreCycle = 0;
   bool SawStore = false;
-  for (const alpha::Instruction &I : R.Program.Instrs)
+  for (const machine::Instruction &I : R.Program.Instrs)
     if (I.Mem == alpha::MemKind::Store) {
       StoreCycle = I.Cycle;
       SawStore = true;
     }
   ASSERT_TRUE(SawStore);
   uint32_t InitialMemReg = 0;
-  for (const alpha::ProgramInput &In : R.Program.Inputs)
+  for (const machine::ProgramInput &In : R.Program.Inputs)
     if (In.IsMemory)
       InitialMemReg = In.Reg;
-  for (const alpha::Instruction &I : R.Program.Instrs)
+  for (const machine::Instruction &I : R.Program.Instrs)
     if (I.Mem == alpha::MemKind::Load && I.Srcs[0].isReg() &&
         I.Srcs[0].Reg == InitialMemReg) {
       EXPECT_LT(I.Cycle, StoreCycle + 1u) << R.Program.toString();
@@ -263,10 +264,10 @@ TEST_F(PipelineTest, GuardOrdersMemoryOps) {
   ASSERT_TRUE(R.Found) << R.Error;
   EXPECT_EQ(R.Cycles, 4u); // cmpult (1) then ldq (3).
   unsigned GuardDone = 0;
-  for (const alpha::Instruction &I : R.Program.Instrs)
+  for (const machine::Instruction &I : R.Program.Instrs)
     if (I.Mnemonic == "cmpult")
       GuardDone = I.Cycle + I.Latency;
-  for (const alpha::Instruction &I : R.Program.Instrs)
+  for (const machine::Instruction &I : R.Program.Instrs)
     if (I.Mem == alpha::MemKind::Load) {
       EXPECT_GE(I.Cycle, GuardDone);
     }
@@ -382,7 +383,7 @@ TEST_P(PipelineDifferential, RandomTerms) {
   ASSERT_TRUE(R.Found) << R.Error << "\ngoal: "
                        << Ctx.Terms.toString(GoalTerm);
 
-  alpha::TimingReport TR = alpha::validateTiming(Isa, R.Program);
+  machine::TimingReport TR = machine::validateTiming(Isa, R.Program);
   ASSERT_TRUE(TR.Ok) << TR.Error << "\n" << R.Program.toString();
 
   for (int Trial = 0; Trial < 4; ++Trial) {
@@ -395,7 +396,7 @@ TEST_P(PipelineDifferential, RandomTerms) {
     }
     auto Want = ir::evalTerm(Ctx.Terms, GoalTerm, E);
     ASSERT_TRUE(Want.has_value());
-    alpha::RunResult Run = alpha::runProgram(Ctx, R.Program, Inputs);
+    machine::RunResult Run = machine::runProgram(Ctx, R.Program, Inputs);
     ASSERT_TRUE(Run.Ok) << Run.Error;
     EXPECT_TRUE(Run.Outputs.at("res").equals(*Want))
         << "seed " << GetParam() << " goal "

@@ -82,7 +82,7 @@ TEST(Explain, GoldenByteswap4) {
   EXPECT_GT(AxiomSteps, 0u);
 
   // The annotated listing mentions every mnemonic and the universe facts.
-  for (const alpha::Instruction &I : G.Search.Program.Instrs)
+  for (const machine::Instruction &I : G.Search.Program.Instrs)
     EXPECT_NE(G.ExplanationListing.find(I.Mnemonic), std::string::npos)
         << I.Mnemonic;
   EXPECT_NE(G.ExplanationListing.find("cycle"), std::string::npos);

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "alpha/ISA.h"
 #include "axioms/BuiltinAxioms.h"
 #include "codegen/Search.h"
 #include "driver/Superoptimizer.h"
