@@ -87,7 +87,8 @@ inline void enableObsMetrics() {
 }
 
 /// Writes the registry's metrics summary to \p Path (next to the
-/// BENCH_*.json trend record; perf_smoke feeds it to `obs_report metrics`).
+/// BENCH_*.json trend record; perf_smoke feeds it to `denali_explain
+/// metrics`).
 inline void writeMetricsSummary(const char *Path) {
   if (obs::writeTextFile(Path, obs::Registry::global().summaryText()))
     std::printf("wrote %s\n", Path);
