@@ -41,6 +41,7 @@
 #include "driver/Superoptimizer.h"
 #include "support/StringExtras.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -84,7 +85,15 @@ int main(int argc, char **argv) {
       Opts.Obs.MetricsOut = V;
     } else if (const char *V =
                    flagValue(argv[I], "--log-level", I, argc, argv)) {
-      Opts.Obs.LogLevel = std::atoi(V);
+      uint64_t Level = 0;
+      if (!parseDecimal(V, Level) || Level > INT_MAX) {
+        std::fprintf(stderr,
+                     "--log-level takes a decimal integer (0 = off), not "
+                     "'%s'\n",
+                     V);
+        return 2;
+      }
+      Opts.Obs.LogLevel = static_cast<int>(Level);
     } else if (const char *V =
                    flagValue(argv[I], "--machine", I, argc, argv)) {
       Opts.MachineName = V;
@@ -99,8 +108,13 @@ int main(int argc, char **argv) {
       }
     } else if (const char *V =
                    flagValue(argv[I], "--match-budget", I, argc, argv)) {
-      Opts.Matching.MatchBudget =
-          static_cast<uint64_t>(std::strtoull(V, nullptr, 10));
+      if (!parseDecimal(V, Opts.Matching.MatchBudget)) {
+        std::fprintf(stderr,
+                     "--match-budget takes a decimal integer (0 = "
+                     "unlimited), not '%s'\n",
+                     V);
+        return 2;
+      }
     } else if (!std::strcmp(argv[I], "--match-phases")) {
       Opts.Matching.Phased = true;
     } else if (const char *V =

@@ -245,18 +245,19 @@ RewriteResult denali::baseline::greedyRewrite(ir::Context &Ctx,
   RewriteResult Result;
 
   std::function<TermId(TermId)> RewriteOnce = [&](TermId Id) -> TermId {
-    const ir::TermNode &N = Ctx.Terms.node(Id);
+    // Copies, not a reference into the term table: the recursive calls
+    // below intern terms, which can reallocate it.
+    const ir::OpId Op = Ctx.Terms.node(Id).Op;
+    std::vector<TermId> Children = Ctx.Terms.node(Id).Children;
     // Innermost first: rebuild with rewritten children.
     bool Changed = false;
-    std::vector<TermId> Children;
-    for (TermId C : N.Children) {
+    for (TermId &C : Children) {
       TermId NC = RewriteOnce(C);
       Changed |= NC != C;
-      Children.push_back(NC);
+      C = NC;
     }
     TermId Cur =
-        Changed ? (Ctx.Ops.isConst(N.Op) ? Id
-                                         : Ctx.Terms.make(N.Op, Children))
+        Changed ? (Ctx.Ops.isConst(Op) ? Id : Ctx.Terms.make(Op, Children))
                 : Id;
     // Greedily take the first cost-improving (or penalty-removing) rule.
     for (;;) {

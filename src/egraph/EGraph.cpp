@@ -8,13 +8,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 using namespace denali;
 using namespace denali::egraph;
 using denali::ir::Builtin;
 
 EGraph::EGraph(const ir::Context &Ctx, bool FoldConstants)
-    : Ctx(Ctx), FoldConstants(FoldConstants) {}
+    : Ctx(Ctx), FoldConstants(FoldConstants), OpIndex(Ctx.Ops.size()) {}
 
 uint32_t EGraph::keyHash(ir::OpId Op, const ClassId *Children,
                          size_t NumChildren, uint64_t ConstVal,
@@ -41,29 +42,33 @@ ENodeId EGraph::hashconsFind(ir::OpId Op, const ClassId *Children,
       });
 }
 
-ENodeId EGraph::insertNode(ir::OpId Op, std::vector<ClassId> Children,
-                           uint64_t ConstVal, bool &WasNew) {
-  for (ClassId &C : Children)
-    C = UF.find(C);
-  ENodeId Existing =
-      hashconsFind(Op, Children.data(), Children.size(), ConstVal);
+ENodeId EGraph::insertNode(ir::OpId Op, const ClassId *Children,
+                           size_t NumChildren, uint64_t ConstVal,
+                           bool &WasNew) {
+  ENodeId Existing = hashconsFind(Op, Children, NumChildren, ConstVal);
   if (Existing != HashIndex::None) {
     WasNew = false;
     return Existing;
   }
   WasNew = true;
+  std::vector<ClassId> Canonical(NumChildren);
+  for (size_t I = 0; I < NumChildren; ++I)
+    Canonical[I] = UF.find(Children[I]);
   ENodeId NId = static_cast<ENodeId>(Nodes.size());
   ClassId CId = UF.makeSet();
   assert(CId == ClassStates.size() && "class table out of sync");
   ClassStates.emplace_back();
-  Nodes.push_back(ENode{Op, std::move(Children), ConstVal, CId, true});
+  Nodes.push_back(ENode{Op, std::move(Canonical), ConstVal, CId, true});
   ++LiveNodeCount;
   Hashcons.insert(storedKeyHash(NId), NId);
   ClassStates[CId].Members.push_back(NId);
+  StaleViews.push_back(CId); // Its view is born stale.
   if (Ctx.Ops.isConst(Op))
     ClassStates[CId].Constant = ConstVal;
   for (ClassId C : Nodes[NId].Children)
     ClassStates[C].Parents.push_back(NId);
+  if (Op >= OpIndex.size())
+    OpIndex.resize(std::max<size_t>(Op + 1, Ctx.Ops.size()));
   OpIndex[Op].push_back(NId);
   if (FoldConstants)
     FoldQueue.push_back(NId);
@@ -89,11 +94,12 @@ std::optional<ClassId> EGraph::lookupConst(uint64_t Value) const {
   return classOf(N);
 }
 
-ClassId EGraph::addNode(ir::OpId Op, const std::vector<ClassId> &Children) {
-  assert(static_cast<size_t>(Ctx.Ops.info(Op).Arity) == Children.size() &&
+ClassId EGraph::addNode(ir::OpId Op, const ClassId *Children,
+                        size_t NumChildren) {
+  assert(static_cast<size_t>(Ctx.Ops.info(Op).Arity) == NumChildren &&
          "arity mismatch");
   bool WasNew = false;
-  ENodeId N = insertNode(Op, Children, 0, WasNew);
+  ENodeId N = insertNode(Op, Children, NumChildren, 0, WasNew);
   ClassId C = classOf(N);
   if (WasNew && !InRebuild && Mode == RebuildMode::Eager)
     rebuild();
@@ -103,7 +109,7 @@ ClassId EGraph::addNode(ir::OpId Op, const std::vector<ClassId> &Children) {
 ClassId EGraph::addConst(uint64_t Value) {
   bool WasNew = false;
   ENodeId N =
-      insertNode(Ctx.Ops.builtin(Builtin::Const), {}, Value, WasNew);
+      insertNode(Ctx.Ops.builtin(Builtin::Const), nullptr, 0, Value, WasNew);
   return classOf(N);
 }
 
@@ -135,7 +141,7 @@ ClassId EGraph::addTerm(ir::TermId Term) {
     Children.reserve(N.Children.size());
     for (ir::TermId C : N.Children)
       Children.push_back(Memo.at(C));
-    Memo[Id] = addNode(N.Op, Children);
+    Memo[Id] = addNode(N.Op, Children.data(), Children.size());
   }
   return UF.find(Memo.at(Term));
 }
@@ -154,6 +160,8 @@ void EGraph::mergeInto(ClassId Root, ClassId Gone) {
     ChangeLog.insert(ChangeLog.end(), GS.Members.begin(), GS.Members.end());
   RS.Members.insert(RS.Members.end(), GS.Members.begin(), GS.Members.end());
   GS.Members.clear();
+  markViewStale(Root);
+  markViewStale(Gone);
   bool ConstantArrived = false;
   if (GS.Constant) {
     if (RS.Constant) {
@@ -363,11 +371,44 @@ std::vector<ClassId> EGraph::canonicalClasses() const {
   return Out;
 }
 
-const std::vector<ENodeId> &EGraph::nodesWithOp(ir::OpId Op) const {
-  auto It = OpIndex.find(Op);
-  if (It == OpIndex.end())
-    return EmptyNodeList;
-  return It->second;
+void EGraph::refreshOpViews() {
+  // Compact once dead views outnumber live ones: move every fresh view to
+  // a new arena, in class order. Moving is not refreshing; only the stale
+  // views below are rebuilt.
+  if (DeadViewEntries * 2 > Views.size()) {
+    std::vector<OpMember> Live;
+    Live.reserve(Views.size() - DeadViewEntries);
+    for (ClassState &S : ClassStates) {
+      if (S.ViewBegin == StaleView)
+        continue;
+      const uint32_t Begin = static_cast<uint32_t>(Live.size());
+      Live.insert(Live.end(), Views.begin() + S.ViewBegin,
+                  Views.begin() + S.ViewBegin + S.ViewLen);
+      S.ViewBegin = Begin;
+    }
+    Views.swap(Live);
+    DeadViewEntries = 0;
+  }
+  for (ClassId C : StaleViews) {
+    if (UF.find(C) != C)
+      continue; // Merged away: stays stale and is never read.
+    ClassState &S = ClassStates[C];
+    S.ViewBegin = static_cast<uint32_t>(Views.size());
+    // A stable sort by operator: sort (operator, member position) pairs,
+    // then turn each position into its node.
+    for (size_t I = 0; I < S.Members.size(); ++I)
+      if (Nodes[S.Members[I]].Alive)
+        Views.push_back(
+            OpMember{Nodes[S.Members[I]].Op, static_cast<ENodeId>(I)});
+    S.ViewLen = static_cast<uint32_t>(Views.size() - S.ViewBegin);
+    std::sort(Views.begin() + S.ViewBegin, Views.end(),
+              [](const OpMember &A, const OpMember &B) {
+                return A.Op != B.Op ? A.Op < B.Op : A.Node < B.Node;
+              });
+    for (auto It = Views.begin() + S.ViewBegin; It != Views.end(); ++It)
+      It->Node = S.Members[It->Node];
+  }
+  StaleViews.clear();
 }
 
 size_t EGraph::numClasses() const {
@@ -414,6 +455,7 @@ void EGraph::repair(ClassId C) {
                    Justification::congruence(Twin, NId));
       N.Alive = false;
       --LiveNodeCount;
+      markViewStale(classOf(NId));
     } else {
       Hashcons.insert(storedKeyHash(NId), NId);
       if (Changed && FoldConstants)

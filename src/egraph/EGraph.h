@@ -29,11 +29,12 @@
 #include "ir/Term.h"
 #include "support/FunctionRef.h"
 
+#include <algorithm>
+#include <cassert>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace denali {
@@ -157,8 +158,16 @@ public:
   // Construction
   //===--------------------------------------------------------------------===
 
-  /// Adds (or finds) the node op(children...). \returns its class.
-  ClassId addNode(ir::OpId Op, const std::vector<ClassId> &Children);
+  /// Adds (or finds) the node op(children...). \returns its class. The
+  /// children are read in place and copied only when a node is created, so
+  /// a hash-cons hit allocates nothing.
+  ClassId addNode(ir::OpId Op, const ClassId *Children, size_t NumChildren);
+  ClassId addNode(ir::OpId Op, std::initializer_list<ClassId> Children) {
+    return addNode(Op, Children.begin(), Children.size());
+  }
+  ClassId addNode(ir::OpId Op, const std::vector<ClassId> &Children) {
+    return addNode(Op, Children.data(), Children.size());
+  }
 
   /// Adds (or finds) the constant \p Value.
   ClassId addConst(uint64_t Value);
@@ -263,14 +272,43 @@ public:
   /// Live nodes in the class of \p C.
   std::vector<ENodeId> classNodes(ClassId C) const;
 
-  /// Applies \p Fn to every live node in the class of \p C. Allocation-free
-  /// variant of classNodes() for the e-matcher's inner loop; \p Fn must not
-  /// mutate the graph.
+  /// Applies \p Fn to every live node in the class of \p C, in the order
+  /// classNodes() lists them. Allocation-free; \p Fn must not mutate the
+  /// graph.
   void forEachClassNode(ClassId C, FunctionRef<void(ENodeId)> Fn) const {
     for (ENodeId N : ClassStates[UF.find(C)].Members)
       if (Nodes[N].Alive)
         Fn(N);
   }
+
+  //===--------------------------------------------------------------------===
+  // Operator views (the e-matcher's class scans)
+  //===--------------------------------------------------------------------===
+
+  /// Applies \p Fn to the live nodes of the class of \p C whose operator is
+  /// \p Op: exactly the nodes forEachClassNode() visits that carry \p Op,
+  /// in the same order. Reads the class's operator view, a binary search
+  /// away from the range, which must be fresh: refreshOpViews() must have
+  /// run since the class was last created, merged or lost a member.
+  /// \p Fn must not mutate the graph.
+  void forEachClassNodeWithOp(ClassId C, ir::OpId Op,
+                              FunctionRef<void(ENodeId)> Fn) const {
+    const ClassState &S = ClassStates[UF.find(C)];
+    assert(S.ViewBegin != StaleView &&
+           "operator view read before refreshOpViews()");
+    const OpMember *End = Views.data() + S.ViewBegin + S.ViewLen;
+    const OpMember *It = std::lower_bound(
+        Views.data() + S.ViewBegin, End, Op,
+        [](const OpMember &M, ir::OpId O) { return M.Op < O; });
+    for (; It != End && It->Op == Op; ++It)
+      Fn(It->Node);
+  }
+
+  /// Rebuilds the operator view of every class created, merged or retired
+  /// from since the last refresh, and only those. Mutations only mark
+  /// views stale; the matcher refreshes once per round, when it starts
+  /// enumerating.
+  void refreshOpViews();
 
   /// All canonical class representatives.
   std::vector<ClassId> canonicalClasses() const;
@@ -285,8 +323,11 @@ public:
 
   /// Nodes whose operator is \p Op, in ascending id order (used by the
   /// e-matcher's root indexing). Includes retired nodes (check Alive) and
-  /// nodes from many classes.
-  const std::vector<ENodeId> &nodesWithOp(ir::OpId Op) const;
+  /// nodes from many classes. The reference is valid until the next node
+  /// is added.
+  const std::vector<ENodeId> &nodesWithOp(ir::OpId Op) const {
+    return Op < OpIndex.size() ? OpIndex[Op] : EmptyNodeList;
+  }
 
   /// The class of the existing node op(children...), if the hash-cons
   /// holds one; never adds a node and never allocates. This is exactly
@@ -365,18 +406,50 @@ private:
   // no two filed nodes have equal keys.
   HashIndex Hashcons;
 
+  // One entry of a class's operator view.
+  struct OpMember {
+    ir::OpId Op;
+    ENodeId Node;
+  };
+
   // Per-class state, indexed by (possibly stale) class id; authoritative
   // only at the canonical representative.
   struct ClassState {
+    /// Every node ever merged in, retired ones included, in arrival order.
+    /// classNodes() lists them in this order, which the universe builder
+    /// and through it the SAT variable order and the goldens depend on.
     std::vector<ENodeId> Members;
     std::vector<ENodeId> Parents; ///< Nodes using this class as a child.
     std::optional<uint64_t> Constant;
     std::vector<ClassId> DistinctFrom; ///< Canonicalize on use.
+    /// The operator view, Views[ViewBegin, ViewBegin + ViewLen): the live
+    /// members, stably sorted by operator. ViewBegin is StaleView from
+    /// the class's creation, union or member retirement until
+    /// refreshOpViews().
+    uint32_t ViewBegin = StaleView;
+    uint32_t ViewLen = 0;
   };
+  static constexpr uint32_t StaleView = ~0u;
   std::vector<ClassState> ClassStates;
+  // Every class's operator view, one after another (a per-class vector
+  // would cost every class id, live or merged away, a vector header). A
+  // refresh appends the new view; the old one is dead until compaction.
+  std::vector<OpMember> Views;
+  size_t DeadViewEntries = 0;
+  // The classes whose views are stale, each once.
+  std::vector<ClassId> StaleViews;
+  void markViewStale(ClassId C) {
+    ClassState &S = ClassStates[C];
+    if (S.ViewBegin == StaleView)
+      return; // Already listed: new classes are listed when created.
+    DeadViewEntries += S.ViewLen;
+    S.ViewBegin = StaleView;
+    S.ViewLen = 0;
+    StaleViews.push_back(C);
+  }
 
-  // Root-op index for the matcher.
-  std::unordered_map<ir::OpId, std::vector<ENodeId>> OpIndex;
+  // Root-op index for the matcher, by operator id.
+  std::vector<std::vector<ENodeId>> OpIndex;
   std::vector<ENodeId> EmptyNodeList;
 
   // Pending congruence repairs (classes whose parents must be rehashed).
@@ -435,8 +508,8 @@ private:
     return keyHash(Node.Op, Node.Children.data(), Node.Children.size(),
                    Node.ConstVal, false);
   }
-  ENodeId insertNode(ir::OpId Op, std::vector<ClassId> Children,
-                     uint64_t ConstVal, bool &WasNew);
+  ENodeId insertNode(ir::OpId Op, const ClassId *Children,
+                     size_t NumChildren, uint64_t ConstVal, bool &WasNew);
   void mergeInto(ClassId Root, ClassId Gone);
   bool mergeClasses(ClassId A, ClassId B,
                     const Justification &J = Justification());

@@ -4,12 +4,30 @@
 
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
 using namespace denali;
 using namespace denali::match;
 using denali::sexpr::SExpr;
+
+uint32_t Axiom::patternHeight(PatternId Id) const {
+  // By explicit stack: axiom sides can be arbitrarily deep.
+  uint32_t Height = 0;
+  std::vector<std::pair<PatternId, uint32_t>> Stack{{Id, 1}};
+  while (!Stack.empty()) {
+    auto [P, Depth] = Stack.back();
+    Stack.pop_back();
+    const PatternNode &N = Pool[P];
+    if (N.TheKind != PatternNode::Kind::App)
+      continue;
+    Height = std::max(Height, Depth);
+    for (PatternId C : N.Children)
+      Stack.push_back({C, Depth + 1});
+  }
+  return Height;
+}
 
 uint64_t Axiom::patternVarMask(PatternId Id) const {
   const PatternNode &N = Pool[Id];
@@ -135,6 +153,8 @@ public:
         return fail(*LiteralForm,
                     "no usable trigger: supply explicit (pats ...)");
     }
+    for (PatternId T : Out.Triggers)
+      Out.TriggerHeights.push_back(Out.patternHeight(T));
     return std::move(Out);
   }
 

@@ -58,9 +58,17 @@ struct Axiom {
   std::vector<std::string> VarNames;
   std::vector<PatternNode> Pool;
   std::vector<PatternId> Triggers; ///< Each binds all variables.
+  /// Per trigger, its patternHeight(): a semi-naive round matches it from
+  /// roots within height - 1 parent steps of a changed node. Computed
+  /// with the triggers, so every matcher over this axiom reads it.
+  std::vector<uint32_t> TriggerHeights;
   std::vector<AxiomLiteral> Body;  ///< Size 1: plain literal; >1: clause.
 
   const PatternNode &pattern(PatternId Id) const { return Pool[Id]; }
+
+  /// Depth of the deepest application in pattern \p Id (a lone
+  /// application is 1; a variable or constant is 0).
+  uint32_t patternHeight(PatternId Id) const;
 
   /// Variables mentioned by pattern \p Id (bitmask over VarNames).
   uint64_t patternVarMask(PatternId Id) const;

@@ -92,17 +92,29 @@ Elaborator denali::match::powerOfTwoElaborator() {
     const ir::Context &Ctx = G.context();
     ir::OpId MulOp = Ctx.Ops.builtin(Builtin::Mul64);
     ir::OpId PowOp = Ctx.Ops.builtin(Builtin::Pow);
-    std::vector<ENodeId> Muls = G.nodesWithOp(MulOp);
-    for (ENodeId N : Muls) {
-      if (!G.node(N).Alive)
+    // By index: adding nodes below can move the per-operator lists, though
+    // it never adds a multiply.
+    for (size_t I = 0; I < G.nodesWithOp(MulOp).size(); ++I) {
+      const ENode &Mul = G.node(G.nodesWithOp(MulOp)[I]);
+      if (!Mul.Alive)
         continue;
       // A copy: addNode below may reallocate the node table.
-      const std::vector<ClassId> Children = G.node(N).Children;
+      const ClassId Children[2] = {Mul.Children[0], Mul.Children[1]};
       for (ClassId Child : Children) {
         std::optional<uint64_t> K = G.classConstant(Child);
         if (!K || !isPowerOfTwo(*K) || *K < 2)
           continue;
         unsigned Exp = log2Exact(*K);
+        // After the first round 2**n is almost always in k's class
+        // already; finding it adds and asserts nothing.
+        std::optional<ClassId> Two = G.lookupConst(2);
+        std::optional<ClassId> N = G.lookupConst(Exp);
+        if (Two && N) {
+          const ClassId PowChildren[2] = {*Two, *N};
+          std::optional<ClassId> Pow = G.lookupNode(PowOp, PowChildren, 2);
+          if (Pow && G.sameClass(*Pow, Child))
+            continue;
+        }
         ClassId PowClass =
             G.addNode(PowOp, {G.addConst(2), G.addConst(Exp)});
         G.assertEqual(PowClass, G.find(Child));

@@ -18,15 +18,16 @@ using namespace denali::egraph;
 
 namespace {
 
-/// Backtracking e-matcher for one axiom over a trigger's root nodes.
-/// Matches are reported through OnMatch; the engine never mutates the graph
-/// (matches are collected and instantiated afterwards).
+/// Backtracking e-matcher over a trigger's root nodes. Matches are
+/// reported through OnMatch; the engine never mutates the graph (matches
+/// are collected and instantiated afterwards).
 ///
 /// The backtracking search is continuation-passing, but the continuations
 /// are non-owning FunctionRefs into stack frames of the search itself —
 /// the inner loop of saturation performs no heap allocation (a
 /// std::function per pattern node per candidate used to dominate the
-/// matcher's profile).
+/// matcher's profile). One engine serves a whole saturation: its binding
+/// vectors keep their capacity from one run to the next.
 ///
 /// A semi-naive run (a non-null \p Steps table, see DeltaSteps) reports
 /// only the matches that use some logged node. Given the roots a full scan
@@ -34,22 +35,29 @@ namespace {
 /// through logged nodes in the order the full scan finds them.
 class MatchEngine {
 public:
-  /// OnMatch returns false to stop the enumeration (budget caps).
-  MatchEngine(const EGraph &G, const Axiom &A, const uint32_t *Steps,
-              FunctionRef<bool(const std::vector<ClassId> &)> OnMatch)
-      : G(G), A(A), Steps(Steps), OnMatch(OnMatch),
-        Bindings(A.VarNames.size(), 0), Bound(A.VarNames.size(), 0) {}
+  explicit MatchEngine(const EGraph &G) : G(G) {}
 
-  /// Matches \p Trigger against \p Roots: G.nodesWithOp(trigger op), or
-  /// the semi-naive roots within it, in the same order.
-  void run(PatternId Trigger, const std::vector<ENodeId> &Roots) {
-    const PatternNode &Root = A.pattern(Trigger);
+  /// Matches \p Trigger of \p Axm against \p Roots: G.nodesWithOp(trigger
+  /// op), or the semi-naive roots within it, in the same order. OnMatch
+  /// returns false to stop the enumeration (budget caps). The graph's
+  /// operator views must be fresh.
+  void run(const Axiom &Axm, PatternId Trigger,
+           const std::vector<ENodeId> &Roots, const uint32_t *StepTable,
+           FunctionRef<bool(const std::vector<ClassId> &)> Report) {
+    A = &Axm;
+    Steps = StepTable;
+    OnMatch = Report;
+    Bindings.assign(Axm.VarNames.size(), 0);
+    Bound.assign(Axm.VarNames.size(), 0);
+    LoggedOnPath = 0;
+    Stopped = false;
+    const PatternNode &Root = Axm.pattern(Trigger);
     assert(Root.TheKind == PatternNode::Kind::App && "trigger must be App");
     // The engine only reads the graph and the match callback only collects
     // (instantiation happens after every work item has run), so the op
     // index is stable here — no defensive copy. Retired nodes in the
     // index are skipped.
-    auto Report = [&] {
+    auto Found = [&] {
       if (Steps && !LoggedOnPath)
         return;
       if (!OnMatch(Bindings))
@@ -58,14 +66,14 @@ public:
     for (size_t I = 0; I < Roots.size() && !Stopped; ++I) {
       if (!G.node(Roots[I]).Alive)
         continue;
-      matchNode(Root, Roots[I], Report);
+      matchNode(Root, Roots[I], Found);
     }
   }
 
 private:
   const EGraph &G;
-  const Axiom &A;
-  const uint32_t *Steps;
+  const Axiom *A = nullptr;
+  const uint32_t *Steps = nullptr;
   FunctionRef<bool(const std::vector<ClassId> &)> OnMatch;
   std::vector<ClassId> Bindings;
   std::vector<uint8_t> Bound;
@@ -98,7 +106,7 @@ private:
   void matchClass(PatternId PId, ClassId C, Cont K) {
     if (Stopped)
       return;
-    const PatternNode &P = A.pattern(PId);
+    const PatternNode &P = A->pattern(PId);
     C = G.find(C);
     switch (P.TheKind) {
     case PatternNode::Kind::Var: {
@@ -121,10 +129,11 @@ private:
       return;
     }
     case PatternNode::Kind::App: {
-      // E-matching proper: search the whole equivalence class for nodes
-      // with the right operator (Figure 2's 2**2 inside 4's class).
-      G.forEachClassNode(C, [&](ENodeId N) {
-        if (!Stopped && G.node(N).Op == P.Op)
+      // E-matching proper: the equivalence class's nodes with the right
+      // operator (Figure 2's 2**2 inside 4's class), from its operator
+      // view.
+      G.forEachClassNodeWithOp(C, P.Op, [&](ENodeId N) {
+        if (!Stopped)
           matchNode(P, N, K);
       });
       return;
@@ -154,6 +163,21 @@ struct WorkItem {
   std::vector<ClassId> MatchBindings; ///< Their canonical bindings, in turn.
   bool Capped = false;        ///< Enumeration stopped at a cap.
   uint64_t Ns = 0;            ///< Wall time enumerating this item.
+
+  /// Readies a reused item for a new round, keeping its vectors' capacity.
+  void reset(uint32_t Axm, PatternId Trig, uint64_t RawLimit,
+             size_t StoreLimit) {
+    AxiomIdx = Axm;
+    Trigger = Trig;
+    Roots = nullptr;
+    Steps = nullptr;
+    RawCap = RawLimit;
+    StoreCap = StoreLimit;
+    Raw = Deduped = Ns = 0;
+    MatchRaw.clear();
+    MatchBindings.clear();
+    Capped = false;
+  }
 };
 
 /// Parent-step distances from the graph's change log, for semi-naive
@@ -268,24 +292,6 @@ size_t patternAppCount(const Axiom &A, PatternId Root) {
   return Count;
 }
 
-/// Depth of the deepest application in a pattern (a lone application is
-/// 1), by explicit stack like patternAppCount.
-uint32_t patternHeight(const Axiom &A, PatternId Root) {
-  uint32_t Height = 0;
-  std::vector<std::pair<PatternId, uint32_t>> Stack{{Root, 1}};
-  while (!Stack.empty()) {
-    auto [P, Depth] = Stack.back();
-    Stack.pop_back();
-    const PatternNode &N = A.pattern(P);
-    if (N.TheKind != PatternNode::Kind::App)
-      continue;
-    Height = std::max(Height, Depth);
-    for (PatternId C : N.Children)
-      Stack.push_back({C, Depth + 1});
-  }
-  return Height;
-}
-
 /// The next power of two >= \p V (for adaptive budget seeding: budgets
 /// stay on the same doubling ladder the blind backoff walks).
 uint64_t roundUpPow2(uint64_t V) {
@@ -313,90 +319,87 @@ unsigned Matcher::axiomPhase(const Axiom &A) {
   return 0;
 }
 
-uint32_t instanceHash(uint32_t AxiomIdx, const ClassId *Bindings,
-                      size_t NumBindings) {
+uint32_t InstanceSet::hash(uint32_t AxiomIdx, const ClassId *Bindings,
+                           size_t NumBindings) {
   uint64_t H = AxiomIdx;
   for (size_t I = 0; I < NumBindings; ++I)
     H = (H ^ Bindings[I]) * 0x100000001b3ull;
   return finishHash(H);
 }
 
-uint32_t InstanceSet::find(uint32_t AxiomIdx, const ClassId *Bindings,
-                           size_t NumBindings) const {
-  uint32_t Key = Index.find(
-      instanceHash(AxiomIdx, Bindings, NumBindings), [&](uint32_t Off) {
-        return Arena[Off] == AxiomIdx &&
-               std::equal(Bindings, Bindings + NumBindings,
-                          Arena.begin() + Off + 1);
-      });
+uint32_t InstanceSet::find(uint32_t Hash, uint32_t AxiomIdx,
+                           const ClassId *Bindings, size_t NumBindings) const {
+  uint32_t Key = Index.find(Hash, [&](uint32_t Off) {
+    return Arena[Off] == AxiomIdx &&
+           std::equal(Bindings, Bindings + NumBindings,
+                      Arena.begin() + Off + 1);
+  });
   return Key == HashIndex::None ? Key : Key + 1;
 }
 
-uint32_t InstanceSet::insert(uint32_t AxiomIdx, const ClassId *Bindings,
-                             size_t NumBindings) {
+uint32_t InstanceSet::insert(uint32_t Hash, uint32_t AxiomIdx,
+                             const ClassId *Bindings, size_t NumBindings) {
   uint32_t Off = static_cast<uint32_t>(Arena.size());
   Arena.push_back(AxiomIdx);
   Arena.insert(Arena.end(), Bindings, Bindings + NumBindings);
-  Index.insert(instanceHash(AxiomIdx, Bindings, NumBindings), Off);
+  Index.insert(Hash, Off);
   return Off + 1;
 }
 
 void InstanceSet::erase(uint32_t AxiomIdx, const ClassId *Bindings,
                         size_t NumBindings) {
-  uint32_t Off = find(AxiomIdx, Bindings, NumBindings);
+  uint32_t Hash = hash(AxiomIdx, Bindings, NumBindings);
+  uint32_t Off = find(Hash, AxiomIdx, Bindings, NumBindings);
   if (Off != HashIndex::None)
-    Index.erase(instanceHash(AxiomIdx, Bindings, NumBindings), Off - 1);
+    Index.erase(Hash, Off - 1);
 }
 
 ClassId Matcher::instantiate(EGraph &G, const Axiom &A, PatternId Root,
                              const ClassId *Bindings) {
-  // Post-order by explicit stack with a value stack: each App pops its
-  // children's classes. Stress axioms nest deeply enough that recursing
-  // here was the one remaining unbounded-depth path under saturation.
-  struct Frame {
-    PatternId P;
-    size_t NextChild;
-  };
-  std::vector<Frame> Stack{{Root, 0}};
-  std::vector<ClassId> Values;
-  while (!Stack.empty()) {
-    Frame &F = Stack.back();
-    const PatternNode &P = A.pattern(F.P);
+  // Post-order by explicit stack with a value stack: each App adds itself
+  // over its children's classes, read in place off the value stack. Stress
+  // axioms nest deeply enough that recursing here was the one remaining
+  // unbounded-depth path under saturation.
+  WalkStack.assign(1, {Root, 0});
+  WalkValues.clear();
+  while (!WalkStack.empty()) {
+    auto &[PId, NextChild] = WalkStack.back();
+    const PatternNode &P = A.pattern(PId);
+    ClassId Value = 0;
     switch (P.TheKind) {
     case PatternNode::Kind::Var:
-      Values.push_back(Bindings[P.VarIndex]);
-      Stack.pop_back();
+      Value = Bindings[P.VarIndex];
       break;
     case PatternNode::Kind::Const:
-      Values.push_back(G.addConst(P.ConstVal));
-      Stack.pop_back();
+      Value = G.addConst(P.ConstVal);
       break;
-    case PatternNode::Kind::App:
-      if (F.NextChild < P.Children.size()) {
-        PatternId Child = P.Children[F.NextChild++];
-        Stack.push_back(Frame{Child, 0}); // May invalidate F.
-      } else {
-        size_t N = P.Children.size();
-        std::vector<ClassId> Children(Values.end() - N, Values.end());
-        Values.resize(Values.size() - N);
-        Values.push_back(G.addNode(P.Op, Children));
-        Stack.pop_back();
+    case PatternNode::Kind::App: {
+      if (NextChild < P.Children.size()) {
+        PatternId Child = P.Children[NextChild++];
+        WalkStack.push_back({Child, 0}); // May invalidate the frame.
+        continue;
       }
+      size_t N = P.Children.size();
+      Value = G.addNode(P.Op, WalkValues.data() + WalkValues.size() - N, N);
+      WalkValues.resize(WalkValues.size() - N);
       break;
     }
+    }
+    WalkValues.push_back(Value);
+    WalkStack.pop_back();
   }
-  assert(Values.size() == 1 && "unbalanced pattern evaluation");
-  return Values.back();
+  assert(WalkValues.size() == 1 && "unbalanced pattern evaluation");
+  return WalkValues.back();
 }
 
 std::optional<ClassId> Matcher::lookup(const EGraph &G, const Axiom &A,
                                        PatternId Root,
                                        const ClassId *Bindings) {
   // instantiate()'s post-order walk, with hash-cons lookups for adds.
-  LookupStack.assign(1, {Root, 0});
-  LookupValues.clear();
-  while (!LookupStack.empty()) {
-    auto &[PId, NextChild] = LookupStack.back();
+  WalkStack.assign(1, {Root, 0});
+  WalkValues.clear();
+  while (!WalkStack.empty()) {
+    auto &[PId, NextChild] = WalkStack.back();
     const PatternNode &P = A.pattern(PId);
     std::optional<ClassId> Found;
     switch (P.TheKind) {
@@ -409,21 +412,20 @@ std::optional<ClassId> Matcher::lookup(const EGraph &G, const Axiom &A,
     case PatternNode::Kind::App:
       if (NextChild < P.Children.size()) {
         PatternId Child = P.Children[NextChild++];
-        LookupStack.push_back({Child, 0}); // May invalidate the frame.
+        WalkStack.push_back({Child, 0}); // May invalidate the frame.
         continue;
       }
       size_t N = P.Children.size();
-      Found = G.lookupNode(P.Op, LookupValues.data() + LookupValues.size() - N,
-                           N);
-      LookupValues.resize(LookupValues.size() - N);
+      Found = G.lookupNode(P.Op, WalkValues.data() + WalkValues.size() - N, N);
+      WalkValues.resize(WalkValues.size() - N);
       break;
     }
     if (!Found)
       return std::nullopt;
-    LookupValues.push_back(*Found);
-    LookupStack.pop_back();
+    WalkValues.push_back(*Found);
+    WalkStack.pop_back();
   }
-  return LookupValues.back();
+  return WalkValues.back();
 }
 
 bool Matcher::assertInstance(EGraph &G, const Axiom &A, uint32_t AxiomIdx,
@@ -579,16 +581,24 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
   // uses no node logged since then is already in Done. The log starts
   // empty, so the first round scans in full.
   std::vector<uint8_t> Complete(NumAxioms, 0);
-  std::vector<uint32_t> TriggerHeight; // Flat, axiom by axiom.
-  std::vector<size_t> FirstTrigger(NumAxioms + 1, 0);
-  for (size_t I = 0; I < NumAxioms; ++I) {
-    FirstTrigger[I] = TriggerHeight.size();
-    for (PatternId T : Axioms[I].Triggers)
-      TriggerHeight.push_back(patternHeight(Axioms[I], T));
-  }
-  FirstTrigger[NumAxioms] = TriggerHeight.size();
   DeltaSteps Delta;
   G.setChangeLogging(true);
+
+  // Per-round scratch, reused across rounds: which axioms match, the work
+  // items (a reused item keeps its survivor vectors' capacity) and each
+  // axiom's range of them, one item's canonical bindings, the queued
+  // instances, and one match engine with its binding vectors.
+  std::vector<uint8_t> Active(NumAxioms);
+  std::vector<WorkItem> Items;
+  size_t NumItems = 0;
+  std::vector<std::pair<size_t, size_t>> AxiomItems(NumAxioms);
+  std::vector<ClassId> Scratch;
+  struct PendingInstance {
+    uint32_t AxiomIdx;
+    uint32_t Bindings; ///< Offset in Done.
+  };
+  std::vector<PendingInstance> Pending;
+  MatchEngine Engine(G);
 
   for (unsigned Round = 0; Round < Limits.MaxRounds; ++Round) {
     ++Stats.Rounds;
@@ -612,7 +622,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       break;
 
     // Which axioms match this round, and at what budget.
-    std::vector<uint8_t> Active(NumAxioms, 1);
+    std::fill(Active.begin(), Active.end(), 1);
     for (size_t I = 0; I < NumAxioms; ++I) {
       if (Axioms[I].VarNames.empty())
         continue; // Ground facts are exempt from scheduling.
@@ -640,8 +650,8 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       if (!Active[I] || !Complete[I] || Axioms[I].VarNames.empty())
         continue;
       AnySemiNaive = true;
-      for (size_t T = FirstTrigger[I]; T < FirstTrigger[I + 1]; ++T)
-        MaxRootSteps = std::max(MaxRootSteps, TriggerHeight[T] - 1);
+      for (uint32_t Height : Axioms[I].TriggerHeights)
+        MaxRootSteps = std::max(MaxRootSteps, Height - 1);
     }
     if (AnySemiNaive)
       Delta.compute(G, MaxRootSteps);
@@ -653,44 +663,49 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     // `budget`, so capping enumeration at budget+1 never drops a match the
     // merge phase would keep, and a hit cap always proves a genuine
     // overflow.
-    std::vector<WorkItem> Items;
-    std::vector<std::pair<size_t, size_t>> AxiomItems(NumAxioms, {0, 0});
+    NumItems = 0;
     for (uint32_t AIdx = 0; AIdx < NumAxioms; ++AIdx) {
-      AxiomItems[AIdx].first = Items.size();
+      AxiomItems[AIdx].first = NumItems;
       const Axiom &A = Axioms[AIdx];
       if (Active[AIdx] && !A.VarNames.empty()) {
-        WorkItem It;
-        It.AxiomIdx = AIdx;
-        It.RawCap = BudgetNow[AIdx] ? BudgetNow[AIdx] + 1 : UINT64_MAX;
-        It.StoreCap = Limits.MaxInstancesPerRound + 1;
+        assert(A.TriggerHeights.size() == A.Triggers.size() &&
+               "trigger heights are computed with the triggers");
         for (size_t T = 0; T < A.Triggers.size(); ++T) {
-          It.Trigger = A.Triggers[T];
-          ir::OpId Op = A.pattern(It.Trigger).Op;
-          if (Complete[AIdx]) {
-            It.Roots = &Delta.roots(
-                G, Op, TriggerHeight[FirstTrigger[AIdx] + T] - 1);
+          ir::OpId Op = A.pattern(A.Triggers[T]).Op;
+          const std::vector<ENodeId> *Roots =
+              Complete[AIdx] ? &Delta.roots(G, Op, A.TriggerHeights[T] - 1)
+                             : &G.nodesWithOp(Op);
+          if (Roots->empty())
+            continue;
+          if (NumItems == Items.size())
+            Items.emplace_back();
+          WorkItem &It = Items[NumItems++];
+          It.reset(AIdx, A.Triggers[T],
+                   BudgetNow[AIdx] ? BudgetNow[AIdx] + 1 : UINT64_MAX,
+                   Limits.MaxInstancesPerRound + 1);
+          It.Roots = Roots;
+          if (Complete[AIdx])
             It.Steps = Delta.data();
-          } else {
-            It.Roots = &G.nodesWithOp(Op);
-          }
-          if (!It.Roots->empty())
-            Items.push_back(It);
         }
       }
-      AxiomItems[AIdx].second = Items.size();
+      AxiomItems[AIdx].second = NumItems;
     }
 
     // Match generation: enumerate each item, canonicalize into a reused
     // scratch key, filter against Done, store survivors. Only reads the
-    // graph; instantiation waits for the merge below.
-    for (WorkItem &It : Items) {
+    // graph; instantiation waits for the merge below. The operator views
+    // are refreshed here, once, for the classes the last round and the
+    // elaborators touched.
+    G.refreshOpViews();
+    for (size_t I = 0; I < NumItems; ++I) {
+      WorkItem &It = Items[I];
       const int64_t T0 = ProfileOn ? obs::nowNs() : 0;
       const Axiom &A = Axioms[It.AxiomIdx];
-      std::vector<ClassId> Scratch(A.VarNames.size());
+      Scratch.resize(A.VarNames.size());
       auto OnMatch = [&](const std::vector<ClassId> &Bs) -> bool {
         ++It.Raw;
-        for (size_t I = 0; I < Bs.size(); ++I)
-          Scratch[I] = G.find(Bs[I]);
+        for (size_t V = 0; V < Bs.size(); ++V)
+          Scratch[V] = G.find(Bs[V]);
         if (Done.find(It.AxiomIdx, Scratch.data(), Scratch.size()) !=
             HashIndex::None) {
           ++It.Deduped;
@@ -705,8 +720,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         }
         return true;
       };
-      MatchEngine Engine(G, A, It.Steps, OnMatch);
-      Engine.run(It.Trigger, *It.Roots);
+      Engine.run(A, It.Trigger, *It.Roots, It.Steps, OnMatch);
       if (ProfileOn)
         It.Ns = static_cast<uint64_t>(obs::nowNs() - T0);
     }
@@ -716,11 +730,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
 
     // Merge in item order: budget truncation, same-round dedup, pending
     // collection. A queued instance goes straight into Done.
-    struct PendingInstance {
-      uint32_t AxiomIdx;
-      uint32_t Bindings; ///< Offset in Done.
-    };
-    std::vector<PendingInstance> Pending;
+    Pending.clear();
     uint64_t TopRaw = 0; // This round's busiest axiom, for the round span.
     uint32_t TopAIdx = 0;
     for (uint32_t AIdx = 0; AIdx < NumAxioms; ++AIdx) {
@@ -765,7 +775,8 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
           if (Budget && PrefixRaw + It.MatchRaw[M] > Budget)
             break;
           const ClassId *Bindings = It.MatchBindings.data() + M * NumVars;
-          if (Done.find(AIdx, Bindings, NumVars) != HashIndex::None) {
+          const uint32_t Hash = InstanceSet::hash(AIdx, Bindings, NumVars);
+          if (Done.find(Hash, AIdx, Bindings, NumVars) != HashIndex::None) {
             // Found earlier this round (enumeration sees Done as it was
             // at round start).
             ++Stats.InstancesDeduped;
@@ -777,8 +788,8 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
             Truncated = true;
             continue;
           }
-          Pending.push_back(
-              PendingInstance{AIdx, Done.insert(AIdx, Bindings, NumVars)});
+          Pending.push_back(PendingInstance{
+              AIdx, Done.insert(Hash, AIdx, Bindings, NumVars)});
         }
         PrefixRaw += It.Raw;
       }

@@ -9,7 +9,9 @@
 ///
 /// E-matching searches whole equivalence classes: the pattern k * 2**n
 /// matches reg6 * 4 once 4's class also contains 2**2 — precisely the
-/// Figure 2 scenario.
+/// Figure 2 scenario. A class is searched through its operator view
+/// (EGraph::forEachClassNodeWithOp), which each round refreshes before it
+/// enumerates: the members with the pattern's operator, in member order.
 ///
 /// Scaling machinery (Caviar-style saturation scheduling):
 ///   * **Semi-naive matching** — an axiom whose last round enumerated every
@@ -128,12 +130,28 @@ using Elaborator = std::function<void(egraph::EGraph &)>;
 /// or finding a pair allocates nothing but arena growth.
 class InstanceSet {
 public:
+  /// The hash the pair is filed under. A caller that finds and then
+  /// inserts one pair computes it once and passes it to both.
+  static uint32_t hash(uint32_t AxiomIdx, const egraph::ClassId *Bindings,
+                       size_t NumBindings);
   /// The arena offset of the pair's bindings, or egraph::HashIndex::None.
   uint32_t find(uint32_t AxiomIdx, const egraph::ClassId *Bindings,
-                size_t NumBindings) const;
+                size_t NumBindings) const {
+    return find(hash(AxiomIdx, Bindings, NumBindings), AxiomIdx, Bindings,
+                NumBindings);
+  }
+  /// find() with the pair's hash() already computed.
+  uint32_t find(uint32_t Hash, uint32_t AxiomIdx,
+                const egraph::ClassId *Bindings, size_t NumBindings) const;
   /// Adds the pair, which must be absent. \returns its bindings' offset.
   uint32_t insert(uint32_t AxiomIdx, const egraph::ClassId *Bindings,
-                  size_t NumBindings);
+                  size_t NumBindings) {
+    return insert(hash(AxiomIdx, Bindings, NumBindings), AxiomIdx, Bindings,
+                  NumBindings);
+  }
+  /// insert() with the pair's hash() already computed.
+  uint32_t insert(uint32_t Hash, uint32_t AxiomIdx,
+                  const egraph::ClassId *Bindings, size_t NumBindings);
   /// Removes the pair if present; its arena entry stays behind.
   void erase(uint32_t AxiomIdx, const egraph::ClassId *Bindings,
              size_t NumBindings);
@@ -185,9 +203,11 @@ private:
   // taken back out so a later round can find them again.
   InstanceSet Done;
 
-  // Scratch stacks of lookup(), reused across instances.
-  std::vector<std::pair<PatternId, size_t>> LookupStack;
-  std::vector<egraph::ClassId> LookupValues;
+  // Scratch stacks of lookup() and instantiate(), reused across
+  // instances: a pattern walk's frames and the classes of its finished
+  // subpatterns.
+  std::vector<std::pair<PatternId, size_t>> WalkStack;
+  std::vector<egraph::ClassId> WalkValues;
 
   /// \p Bindings holds one class per variable of \p A, here and below.
   egraph::ClassId instantiate(egraph::EGraph &G, const Axiom &A, PatternId P,

@@ -79,13 +79,25 @@ bool denali::parseIntegerLiteral(std::string_view S, int64_t &Out) {
   return true;
 }
 
-bool denali::parsePositiveDecimal(const char *S, unsigned &Out) {
+bool denali::parseDecimal(const char *S, uint64_t &Out) {
+  if (S[0] == '0' && S[1] == '\0') {
+    Out = 0;
+    return true;
+  }
   if (*S < '1' || *S > '9')
     return false;
   errno = 0;
   char *End = nullptr;
-  unsigned long V = std::strtoul(S, &End, 10);
-  if (*End != '\0' || errno == ERANGE || V > UINT_MAX)
+  unsigned long long V = std::strtoull(S, &End, 10);
+  if (*End != '\0' || errno == ERANGE)
+    return false;
+  Out = V;
+  return true;
+}
+
+bool denali::parsePositiveDecimal(const char *S, unsigned &Out) {
+  uint64_t V = 0;
+  if (!parseDecimal(S, V) || V == 0 || V > UINT_MAX)
     return false;
   Out = static_cast<unsigned>(V);
   return true;

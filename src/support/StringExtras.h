@@ -30,6 +30,12 @@ std::vector<std::string> splitString(const std::string &S,
 /// test candidate tokens without materializing a std::string.
 bool parseIntegerLiteral(std::string_view S, int64_t &Out);
 
+/// \returns true if \p S is a decimal integer, 0 included, that fits
+/// uint64_t (the command-line form of a count where 0 means unlimited or
+/// off: "0" or "64", but not "-3", "08", "12x" or "abc"); the value is
+/// stored in \p Out.
+bool parseDecimal(const char *S, uint64_t &Out);
+
 /// \returns true if \p S is a positive decimal integer that fits unsigned
 /// (the command-line form of a cycle budget: "8", but not "0", "-3",
 /// "12x" or "abc"); the value is stored in \p Out.

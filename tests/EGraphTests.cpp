@@ -555,6 +555,118 @@ TEST_F(EGraphTest, ProvenanceRecordedAcrossDeferredRebuild) {
 }
 
 //===----------------------------------------------------------------------===
+// Operator views: forEachClassNodeWithOp visits exactly the nodes
+// forEachClassNode visits that carry the operator, in the same order,
+// whatever unions, congruence retirements and constant folds did to the
+// class, under both rebuild disciplines.
+//===----------------------------------------------------------------------===
+
+class OpViewTest : public ::testing::TestWithParam<RebuildMode> {
+protected:
+  ir::Context Ctx;
+  EGraph G{Ctx};
+
+  void SetUp() override { G.setRebuildMode(GetParam()); }
+  ClassId c(uint64_t V) { return G.addConst(V); }
+  ClassId v(const std::string &Name) {
+    return G.addNode(Ctx.Ops.makeVariable(Name), {});
+  }
+  ClassId app(Builtin B, std::vector<ClassId> Args) {
+    return G.addNode(Ctx.Ops.builtin(B), Args);
+  }
+
+  /// The filtered member scan of \p C's class for \p Op.
+  std::vector<ENodeId> scan(ClassId C, ir::OpId Op) {
+    std::vector<ENodeId> Out;
+    G.forEachClassNode(C, [&](ENodeId N) {
+      if (G.node(N).Op == Op)
+        Out.push_back(N);
+    });
+    return Out;
+  }
+  std::vector<ENodeId> view(ClassId C, ir::OpId Op) {
+    std::vector<ENodeId> Out;
+    G.forEachClassNodeWithOp(C, Op, [&](ENodeId N) { Out.push_back(N); });
+    return Out;
+  }
+
+  /// Closes the graph, refreshes the views, and compares every canonical
+  /// class's view with its scan for every operator id the context knows.
+  void expectViewsMatchScans(const char *When) {
+    SCOPED_TRACE(When);
+    G.rebuild();
+    G.refreshOpViews();
+    for (ClassId C : G.canonicalClasses())
+      for (ir::OpId Op = 0; Op <= Ctx.Ops.size(); ++Op)
+        EXPECT_EQ(view(C, Op), scan(C, Op)) << "class " << C << ", op " << Op;
+  }
+};
+
+TEST_P(OpViewTest, UnionKeepsMemberOrderWithinAnOperator) {
+  // Three multiplies and a shift united in an order that puts the members
+  // out of id order: the view lists each operator's members as the class
+  // lists them, not by id.
+  ir::OpId Mul = Ctx.Ops.builtin(Builtin::Mul64);
+  ClassId X = v("x"), Y = v("y"), Z = v("z");
+  ClassId M1 = app(Builtin::Mul64, {X, c(4)});
+  ClassId S = app(Builtin::Shl64, {X, c(2)});
+  ClassId M2 = app(Builtin::Mul64, {Y, c(4)});
+  ClassId M3 = app(Builtin::Mul64, {Z, c(4)});
+  G.assertEqual(M3, M2);
+  G.assertEqual(M3, S);
+  G.assertEqual(M1, M2);
+  expectViewsMatchScans("after unions");
+  EXPECT_EQ(view(M1, Mul).size(), 3u);
+  EXPECT_EQ(scan(M1, Ctx.Ops.builtin(Builtin::Shl64)).size(), 1u);
+}
+
+TEST_P(OpViewTest, CongruenceRetirementLeavesTheView) {
+  // neg(x) and neg(y) share a class before x = y makes them congruent
+  // twins: repair retires one without any union, and the view must lose
+  // it. add(x, 1) and add(y, 1) sit in classes of their own, so their
+  // retirement comes with a union.
+  ir::OpId Neg = Ctx.Ops.builtin(Builtin::Neg64);
+  ir::OpId Add = Ctx.Ops.builtin(Builtin::Add64);
+  ClassId X = v("x"), Y = v("y");
+  ClassId NX = app(Builtin::Neg64, {X});
+  ClassId NY = app(Builtin::Neg64, {Y});
+  ClassId AX = app(Builtin::Add64, {X, c(1)});
+  ClassId AY = app(Builtin::Add64, {Y, c(1)});
+  G.assertEqual(NX, NY);
+  expectViewsMatchScans("before x = y");
+  EXPECT_EQ(view(NX, Neg).size(), 2u);
+  G.assertEqual(X, Y);
+  expectViewsMatchScans("after x = y");
+  EXPECT_EQ(view(NX, Neg).size(), 1u);
+  EXPECT_TRUE(G.sameClass(AX, AY));
+  EXPECT_EQ(view(AX, Add).size(), 1u);
+}
+
+TEST_P(OpViewTest, ConstantFoldJoinsTheConstantsView) {
+  ir::OpId Const = Ctx.Ops.builtin(Builtin::Const);
+  ir::OpId Add = Ctx.Ops.builtin(Builtin::Add64);
+  ClassId Five = c(5);
+  expectViewsMatchScans("before the fold");
+  ClassId Sum = app(Builtin::Add64, {c(2), c(3)});
+  ClassId Diff = app(Builtin::Sub64, {c(8), c(3)});
+  expectViewsMatchScans("after the folds");
+  ASSERT_TRUE(G.sameClass(Sum, Five));
+  ASSERT_TRUE(G.sameClass(Diff, Five));
+  EXPECT_EQ(view(Five, Const).size(), 1u);
+  EXPECT_EQ(view(Five, Add), scan(Five, Add));
+  EXPECT_EQ(view(Five, Add).size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, OpViewTest,
+                         ::testing::Values(RebuildMode::Eager,
+                                           RebuildMode::Deferred),
+                         [](const ::testing::TestParamInfo<RebuildMode> &I) {
+                           return I.param == RebuildMode::Eager
+                                      ? std::string("Eager")
+                                      : std::string("Deferred");
+                         });
+
+//===----------------------------------------------------------------------===
 // Property test: random merge sequences preserve union-find/congruence
 // invariants (canonical classes partition live nodes; congruent nodes
 // share a class).

@@ -159,6 +159,61 @@ TEST(ExtractDefinition, RejectsNonDefinitional) {
   EXPECT_FALSE(extractDefinition(Ctx, B).has_value());
 }
 
+TEST(AxiomParse, TriggerHeightsFollowTheTriggers) {
+  ir::Context Ctx;
+  Axiom Comm = parseOk(
+      Ctx, R"((\axiom (forall (x y) (eq (\add64 x y) (\add64 y x)))))");
+  EXPECT_EQ(Comm.TriggerHeights, (std::vector<uint32_t>{1, 1}));
+  Axiom Sel = parseOk(Ctx, R"((\axiom (forall (a i x j)
+      (pats (\select (\store a i x) j))
+      (or (eq i j) (eq (\select (\store a i x) j) (\select a j))))))");
+  EXPECT_EQ(Sel.TriggerHeights, (std::vector<uint32_t>{2}));
+  Axiom Ground = parseOk(Ctx, R"((\axiom (eq reg7 0)))");
+  EXPECT_TRUE(Ground.TriggerHeights.empty());
+}
+
+//===----------------------------------------------------------------------===
+// The done set: the merge hashes a queued instance once for its find and
+// its insert, and must file it exactly where the plain calls would.
+//===----------------------------------------------------------------------===
+
+TEST(InstanceSet, HashReusingFindAndInsertAgreeWithThePlainCalls) {
+  std::mt19937 Rng(7);
+  InstanceSet Plain, Hashed;
+  std::vector<std::pair<uint32_t, std::vector<ClassId>>> Pairs;
+  for (int I = 0; I < 400; ++I) {
+    uint32_t Axm = Rng() % 5;
+    std::vector<ClassId> Bs(Axm % 3 + 1);
+    for (ClassId &B : Bs)
+      B = Rng() % 16;
+    const uint32_t H = InstanceSet::hash(Axm, Bs.data(), Bs.size());
+    const uint32_t Want = Plain.find(Axm, Bs.data(), Bs.size());
+    ASSERT_EQ(Hashed.find(H, Axm, Bs.data(), Bs.size()), Want);
+    if (Want != HashIndex::None)
+      continue;
+    uint32_t Off = Plain.insert(Axm, Bs.data(), Bs.size());
+    ASSERT_EQ(Hashed.insert(H, Axm, Bs.data(), Bs.size()), Off);
+    Pairs.push_back({Axm, Bs});
+  }
+  ASSERT_GT(Pairs.size(), 100u);
+  for (const auto &[Axm, Bs] : Pairs) {
+    const uint32_t H = InstanceSet::hash(Axm, Bs.data(), Bs.size());
+    uint32_t Off = Plain.find(Axm, Bs.data(), Bs.size());
+    ASSERT_NE(Off, HashIndex::None);
+    EXPECT_EQ(Hashed.find(H, Axm, Bs.data(), Bs.size()), Off);
+    EXPECT_EQ(Hashed.find(Axm, Bs.data(), Bs.size()), Off);
+    EXPECT_TRUE(std::equal(Bs.begin(), Bs.end(), Hashed.bindings(Off)));
+  }
+  // The same bindings under another axiom are another pair.
+  const auto &[Axm, Bs] = Pairs.front();
+  EXPECT_EQ(Hashed.find(Axm + 5, Bs.data(), Bs.size()), HashIndex::None);
+  // A pair erased through the plain call is gone for the hashed one too.
+  Hashed.erase(Axm, Bs.data(), Bs.size());
+  EXPECT_EQ(Hashed.find(InstanceSet::hash(Axm, Bs.data(), Bs.size()), Axm,
+                        Bs.data(), Bs.size()),
+            HashIndex::None);
+}
+
 //===----------------------------------------------------------------------===
 // Saturation: the Figure 2 walkthrough and friends.
 //===----------------------------------------------------------------------===

@@ -15,6 +15,8 @@
 //    budget or the per-round instance cap bounds a trigger's whole root
 //    list, not slices of it;
 //  * a semi-naive round reaches the graph a fresh full scan reaches;
+//  * every round's class scans, read off the operator views, see exactly
+//    the members a filtered scan of the whole class sees;
 //  * rebuild's congruence cascade is worklist-driven, so pathologically
 //    deep parent chains cannot overflow the stack in either mode.
 //
@@ -43,7 +45,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <unordered_map>
 
@@ -623,10 +627,11 @@ TEST(SemiNaiveOracle, GeneratedSliceMatchesFullScans) {
   }
 }
 
-/// Every GMA of Denali source \p Text, under the builtin axioms plus the
-/// program's own.
-void expectProgramMatchesFullScans(const std::string &Name,
-                                   const std::string &Text) {
+/// Calls \p Fn on every GMA of Denali source \p Text, under the builtin
+/// axioms plus the program's own.
+void forEachProgramGma(
+    const std::string &Name, const std::string &Text,
+    const std::function<void(ir::Context &, const OracleInput &)> &Fn) {
   ir::Context Ctx;
   std::string Err;
   std::optional<lang::Module> Mod = lang::parseAnyModule(Text, &Err);
@@ -643,12 +648,8 @@ void expectProgramMatchesFullScans(const std::string &Name,
     std::optional<std::vector<gma::GMA>> Gmas =
         gma::translateProc(Ctx, P, &Err);
     ASSERT_TRUE(Gmas.has_value()) << Name << ": " << Err;
-    for (const gma::GMA &G : *Gmas) {
-      OracleInput In{Name + ":" + G.Name, gmaSeeds(G), &Axioms};
-      // The default round limit; every paper kernel quiesces before it.
-      expectSemiNaiveMatchesFullScans(Ctx, In,
-                                      match::MatchLimits().MaxRounds);
-    }
+    for (const gma::GMA &G : *Gmas)
+      Fn(Ctx, OracleInput{Name + ":" + G.Name, gmaSeeds(G), &Axioms});
   }
 }
 
@@ -659,13 +660,115 @@ std::string readProgram(const std::string &File) {
   return Text.str();
 }
 
-TEST(SemiNaiveOracle, PaperKernelsMatchFullScans) {
+/// The paper kernels: the sample programs and the byteswap5 and permute16
+/// sources of the benchmarks.
+std::vector<std::pair<std::string, std::string>> paperKernels() {
+  std::vector<std::pair<std::string, std::string>> Out;
   for (const char *File :
        {"byteswap4.dnl", "byteswap4.den", "checksum.dnl", "checksum.den",
         "checksum_pipelined.dnl", "copyloop.dnl", "rowop.dnl"})
-    expectProgramMatchesFullScans(File, readProgram(File));
-  expectProgramMatchesFullScans("byteswap5", bench::byteswapSource(5));
-  expectProgramMatchesFullScans("permute16", bench::permuteSource());
+    Out.push_back({File, readProgram(File)});
+  Out.push_back({"byteswap5", bench::byteswapSource(5)});
+  Out.push_back({"permute16", bench::permuteSource()});
+  return Out;
+}
+
+TEST(SemiNaiveOracle, PaperKernelsMatchFullScans) {
+  for (const auto &[Name, Text] : paperKernels())
+    forEachProgramGma(Name, Text, [](ir::Context &Ctx, const OracleInput &In) {
+      // The default round limit; every paper kernel quiesces before it.
+      expectSemiNaiveMatchesFullScans(Ctx, In, match::MatchLimits().MaxRounds);
+    });
+}
+
+//===----------------------------------------------------------------------===
+// Operator views: each round's class scans see exactly the members that a
+// scan of the whole class, filtered by operator, accepts.
+//===----------------------------------------------------------------------===
+
+/// Refreshes the operator views and compares each canonical class's range
+/// for every operator among its members, and for one no node has, with
+/// its filtered member scan. \returns the ranges compared.
+size_t expectOpViewsMatchScans(egraph::EGraph &G, const std::string &When) {
+  SCOPED_TRACE(When);
+  G.refreshOpViews();
+  const ir::OpId NoSuchOp =
+      static_cast<ir::OpId>(G.context().Ops.size());
+  size_t Compared = 0;
+  for (ClassId C : G.canonicalClasses()) {
+    std::vector<egraph::ENodeId> Scan;
+    G.forEachClassNode(C, [&](egraph::ENodeId N) { Scan.push_back(N); });
+    std::vector<ir::OpId> Ops;
+    for (egraph::ENodeId N : Scan)
+      Ops.push_back(G.node(N).Op);
+    std::sort(Ops.begin(), Ops.end());
+    Ops.erase(std::unique(Ops.begin(), Ops.end()), Ops.end());
+    Ops.push_back(NoSuchOp);
+    for (ir::OpId Op : Ops) {
+      std::vector<egraph::ENodeId> Want, Got;
+      for (egraph::ENodeId N : Scan)
+        if (G.node(N).Op == Op)
+          Want.push_back(N);
+      G.forEachClassNodeWithOp(C, Op,
+                               [&](egraph::ENodeId N) { Got.push_back(N); });
+      EXPECT_EQ(Got, Want) << "class " << C << ", op " << Op;
+      ++Compared;
+    }
+  }
+  return Compared;
+}
+
+/// Saturates \p In's seeds with a checking elaborator after the standard
+/// ones. It closes the graph, as the matcher's rebuild right after it
+/// would, and compares the views the round's enumeration reads; the graph
+/// saturate() leaves is compared too. \returns the rounds run.
+unsigned expectOpViewsMatchScansEveryRound(ir::Context &Ctx,
+                                           const OracleInput &In,
+                                           unsigned Rounds) {
+  SCOPED_TRACE(In.Name);
+  egraph::EGraph G(Ctx);
+  for (ir::TermId T : In.Seeds)
+    G.addTerm(T);
+  match::Matcher M(*In.Axioms);
+  for (match::Elaborator &E : match::standardElaborators())
+    M.addElaborator(std::move(E));
+  unsigned Round = 0;
+  size_t Compared = 0;
+  M.addElaborator([&](egraph::EGraph &Gr) {
+    Gr.rebuild();
+    Compared += expectOpViewsMatchScans(Gr, strFormat("round %u", ++Round));
+  });
+  match::MatchStats S = M.saturate(G, roundsBounded(Rounds));
+  Compared += expectOpViewsMatchScans(G, "after saturation");
+  EXPECT_EQ(Round, S.Rounds);
+  EXPECT_GT(Compared, G.numClasses());
+  return S.Rounds;
+}
+
+TEST(OpViews, PaperKernelsMatchClassScansEveryRound) {
+  unsigned Gmas = 0, Rounds = 0;
+  for (const auto &[Name, Text] : paperKernels())
+    forEachProgramGma(Name, Text, [&](ir::Context &Ctx, const OracleInput &In) {
+      ++Gmas;
+      Rounds += expectOpViewsMatchScansEveryRound(
+          Ctx, In, match::MatchLimits().MaxRounds);
+    });
+  // Most kernels take many rounds; a few GMAs quiesce in their first.
+  EXPECT_GT(Rounds, 4 * Gmas);
+}
+
+TEST(OpViews, GeneratedSliceMatchesClassScansEveryRound) {
+  for (uint64_t Seed = 1000; Seed < 1003; ++Seed) {
+    ir::Context Ctx;
+    const std::vector<match::Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+    verify::GmaGen Gen(Ctx, Seed);
+    for (unsigned I = 0; I < 24; ++I)
+      expectOpViewsMatchScansEveryRound(
+          Ctx,
+          OracleInput{strFormat("gen%llu.%u", (unsigned long long)Seed, I),
+                      gmaSeeds(Gen.next()), &Axioms},
+          8);
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -97,6 +97,24 @@ TEST(ParsePositiveDecimal, RejectsValuesPastUnsigned) {
   EXPECT_EQ(V, 16u);
 }
 
+TEST(ParseDecimal, AcceptsZeroAndCounts) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseDecimal("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseDecimal("64", V));
+  EXPECT_EQ(V, 64u);
+  EXPECT_TRUE(parseDecimal("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
+TEST(ParseDecimal, RejectsSignsJunkAndOverflow) {
+  uint64_t V = 64;
+  for (const char *S : {"", "00", "08", "-3", "+3", " 8", "12x", "1.5",
+                        "0x10", "abc", "18446744073709551616"})
+    EXPECT_FALSE(parseDecimal(S, V)) << "'" << S << "'";
+  EXPECT_EQ(V, 64u);
+}
+
 TEST(FormatConstant, SmallDecimalLargeHex) {
   EXPECT_EQ(formatConstant(7), "7");
   EXPECT_EQ(formatConstant(1023), "1023");

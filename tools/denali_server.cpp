@@ -63,6 +63,9 @@
 #include "sexpr/Parser.h"
 #include "support/StringExtras.h"
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -87,43 +90,50 @@ const char *flagValue(const char *Arg, const char *Name, int &I, int argc,
 
 /// Parses "64m", "512k", "2g", or a plain byte count.
 bool parseBytes(const char *S, size_t &Out) {
+  if (*S < '0' || *S > '9')
+    return false; // strtoull would wrap "-1" to 2^64 - 1.
+  errno = 0;
   char *End = nullptr;
   unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S)
+  if (errno == ERANGE)
     return false;
+  unsigned Shift = 0;
   switch (*End) {
   case '\0':
     break;
   case 'k':
   case 'K':
-    V <<= 10;
+    Shift = 10;
     ++End;
     break;
   case 'm':
   case 'M':
-    V <<= 20;
+    Shift = 20;
     ++End;
     break;
   case 'g':
   case 'G':
-    V <<= 30;
+    Shift = 30;
     ++End;
     break;
   default:
     return false;
   }
-  if (*End != '\0')
+  if (*End != '\0' || V > (SIZE_MAX >> Shift))
     return false;
-  Out = static_cast<size_t>(V);
+  Out = static_cast<size_t>(V << Shift);
   return true;
 }
 
-int usageError(const char *Flag, const char *Value) {
-  std::fprintf(stderr,
-               "error: %s takes a positive decimal integer, not '%s'\n",
-               Flag, Value);
+/// Reports a bad flag value; usage errors exit 2.
+int usageError(const char *Flag, const char *Value,
+               const char *Expected = "a positive decimal integer") {
+  std::fprintf(stderr, "error: %s takes %s, not '%s'\n", Flag, Expected,
+               Value);
   return 2;
 }
+
+constexpr const char *DecimalOrZero = "a decimal integer (0 = off)";
 
 int runBulk(server::CompileServer &Server, const std::string &Path,
             bool PrintStats) {
@@ -185,16 +195,18 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     if (const char *V = flagValue(Arg, "--threads", I, argc, argv)) {
-      SOpts.Threads = static_cast<unsigned>(std::atoi(V));
+      if (!parsePositiveDecimal(V, SOpts.Threads))
+        return usageError("--threads", V);
     } else if (const char *V =
                    flagValue(Arg, "--cache-bytes", I, argc, argv)) {
-      if (!parseBytes(V, SOpts.CacheBytes)) {
-        std::fprintf(stderr, "error: bad --cache-bytes '%s'\n", V);
-        return 1;
-      }
+      if (!parseBytes(V, SOpts.CacheBytes))
+        return usageError("--cache-bytes", V, "a byte count");
     } else if (const char *V =
                    flagValue(Arg, "--warm-graphs", I, argc, argv)) {
-      SOpts.WarmGraphs = static_cast<size_t>(std::atoll(V));
+      uint64_t N = 0;
+      if (!parseDecimal(V, N))
+        return usageError("--warm-graphs", V, DecimalOrZero);
+      SOpts.WarmGraphs = static_cast<size_t>(N);
     } else if (const char *V = flagValue(Arg, "--bulk", I, argc, argv)) {
       BulkPath = V;
     } else if (std::strcmp(Arg, "--print-programs") == 0) {
@@ -211,7 +223,9 @@ int main(int argc, char **argv) {
         return usageError("--min-cycles", V);
     } else if (const char *V =
                    flagValue(Arg, "--match-budget", I, argc, argv)) {
-      Opts.Matching.MatchBudget = std::strtoull(V, nullptr, 10);
+      if (!parseDecimal(V, Opts.Matching.MatchBudget))
+        return usageError("--match-budget", V,
+                          "a decimal integer (0 = unlimited)");
     } else if (std::strcmp(Arg, "--match-phases") == 0) {
       Opts.Matching.Phased = true;
     } else if (const char *V =
@@ -235,11 +249,8 @@ int main(int argc, char **argv) {
       SOpts.MetricsFlushPath = V;
     } else if (const char *V = flagValue(Arg, "--metrics-flush-max-bytes", I,
                                          argc, argv)) {
-      if (!parseBytes(V, SOpts.MetricsFlushMaxBytes)) {
-        std::fprintf(stderr, "error: bad --metrics-flush-max-bytes '%s'\n",
-                     V);
-        return 1;
-      }
+      if (!parseBytes(V, SOpts.MetricsFlushMaxBytes))
+        return usageError("--metrics-flush-max-bytes", V, "a byte count");
     } else if (std::strcmp(Arg, "--stats-full") == 0) {
       PrintStatsFull = true;
     } else if (const char *V = flagValue(Arg, "--trace-out", I, argc, argv)) {
@@ -250,10 +261,13 @@ int main(int argc, char **argv) {
                    flagValue(Arg, "--metrics-out", I, argc, argv)) {
       Opts.Obs.MetricsOut = V;
     } else if (const char *V = flagValue(Arg, "--log-level", I, argc, argv)) {
-      Opts.Obs.LogLevel = std::atoi(V);
+      uint64_t Level = 0;
+      if (!parseDecimal(V, Level) || Level > INT_MAX)
+        return usageError("--log-level", V, DecimalOrZero);
+      Opts.Obs.LogLevel = static_cast<int>(Level);
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg);
-      return 1;
+      return 2;
     }
   }
   Opts.Obs.Enabled = !Opts.Obs.TraceOut.empty() ||
