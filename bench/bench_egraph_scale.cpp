@@ -28,11 +28,6 @@
 // and a matcher that enumerates only what changed since the last round
 // finds a number of matches that depends on that order.
 //
-// Each tier also A/Bs the deferred arm with per-axiom attribution
-// disabled (MatchLimits::Profile off) — attr_overhead_pct is the cost of
-// the always-on profiling instrumentation, reported but not gated (it is
-// a timing ratio; EXPERIMENTS.md E20 records the expectation of < 2%).
-//
 // The E20 section compares blind budget-backoff against ledger-warmed
 // adaptive scheduling (--match-adaptive) on *quiescing* inputs: groups of
 // figure-2-style mul/add seeds over distinct variables, whose builtin
@@ -165,9 +160,9 @@ int main(int argc, char **argv) {
 
   banner("E16", Smoke ? "saturation scaling, eager vs deferred (smoke)"
                       : "saturation scaling, eager vs deferred");
-  std::printf("%-6s %-10s %-8s %-8s %-9s %-10s %-10s %-9s %-8s\n", "tier",
+  std::printf("%-6s %-10s %-8s %-8s %-9s %-10s %-10s %-9s\n", "tier",
               "seed-nodes", "nodes", "classes", "quiesced", "eager-s",
-              "deferred-s", "speedup", "attr-ov%");
+              "deferred-s", "speedup");
 
   enableObsMetrics();
   bool AllOk = true;
@@ -176,7 +171,7 @@ int main(int argc, char **argv) {
     size_t SeedNodes, Nodes, Classes;
     unsigned Gmas;
     bool Quiesced, ModesAgree;
-    double EagerS, DeferredS, AttrOverheadPct;
+    double EagerS, DeferredS;
   };
   std::vector<Record> Records;
 
@@ -216,33 +211,17 @@ int main(int argc, char **argv) {
     Deferred.MaxInstancesPerRound = 1u << 20;
     match::MatchLimits Eager = Deferred;
     Eager.EagerRebuild = true;
-    // The attribution-overhead A/B: deferred with per-axiom profiling off.
-    match::MatchLimits NoProf = Deferred;
-    NoProf.Profile = false;
 
-    ArmResult EagerR, DeferredR, NoProfR;
-    double EagerS = 0, DeferredS = 0, NoProfS = 0;
+    ArmResult EagerR, DeferredR;
+    double EagerS = 0, DeferredS = 0;
     for (int Rep = 0; Rep < T.Reps; ++Rep) {
       // Interleaved min-of-reps, the bench_verify trick against scheduler
       // noise. Stats and partitions are identical across reps.
       double E = runArm(Ctx, Seeds, Eager, EagerR);
       double D = runArm(Ctx, Seeds, Deferred, DeferredR);
-      double N = runArm(Ctx, Seeds, NoProf, NoProfR);
       EagerS = Rep ? std::min(EagerS, E) : E;
       DeferredS = Rep ? std::min(DeferredS, D) : D;
-      NoProfS = Rep ? std::min(NoProfS, N) : N;
     }
-    // The overhead A/B needs min-of-3 even on single-rep tiers — it
-    // divides two nearly-equal wall times, so a single noisy sample
-    // swamps the few-percent signal.
-    for (int Rep = T.Reps; Rep < 3; ++Rep) {
-      double D = runArm(Ctx, Seeds, Deferred, DeferredR);
-      double N = runArm(Ctx, Seeds, NoProf, NoProfR);
-      DeferredS = std::min(DeferredS, D);
-      NoProfS = std::min(NoProfS, N);
-    }
-    double AttrOverheadPct =
-        NoProfS > 0 ? 100.0 * (DeferredS - NoProfS) / NoProfS : 0.0;
 
     bool Quiesced = EagerR.Stats.Quiesced && DeferredR.Stats.Quiesced;
     // The gates: eager and deferred must reach the same closure (the
@@ -250,28 +229,20 @@ int main(int argc, char **argv) {
     bool ModesAgree =
         EagerR.Partition == DeferredR.Partition &&
         EagerR.Stats.FinalNodes == DeferredR.Stats.FinalNodes &&
-        EagerR.Stats.FinalClasses == DeferredR.Stats.FinalClasses &&
-        // Turning attribution off must not change what the scheduler does.
-        DeferredR.Partition == NoProfR.Partition &&
-        DeferredR.Stats.FinalNodes == NoProfR.Stats.FinalNodes &&
-        DeferredR.Stats.FinalClasses == NoProfR.Stats.FinalClasses &&
-        DeferredR.Stats.Rounds == NoProfR.Stats.Rounds &&
-        DeferredR.Stats.MatchesFound == NoProfR.Stats.MatchesFound;
+        EagerR.Stats.FinalClasses == DeferredR.Stats.FinalClasses;
     if (!ModesAgree) {
       std::printf("tier %s: arms DISAGREE (eager %zu/%zu, deferred %zu/%zu)\n",
                   T.Name, EagerR.Stats.FinalNodes, EagerR.Stats.FinalClasses,
                   DeferredR.Stats.FinalNodes, DeferredR.Stats.FinalClasses);
       AllOk = false;
     }
-    std::printf("%-6s %-10zu %-8zu %-8zu %-9s %-10.3f %-10.3f %-9.2f "
-                "%+.1f%%\n",
+    std::printf("%-6s %-10zu %-8zu %-8zu %-9s %-10.3f %-10.3f %-9.2f\n",
                 T.Name, SeedNodes, DeferredR.Stats.FinalNodes,
                 DeferredR.Stats.FinalClasses, Quiesced ? "yes" : "NO",
-                EagerS, DeferredS, DeferredS > 0 ? EagerS / DeferredS : 0.0,
-                AttrOverheadPct);
+                EagerS, DeferredS, DeferredS > 0 ? EagerS / DeferredS : 0.0);
     Records.push_back(Record{T.Name, SeedNodes, DeferredR.Stats.FinalNodes,
                              DeferredR.Stats.FinalClasses, T.Gmas, Quiesced,
-                             ModesAgree, EagerS, DeferredS, AttrOverheadPct});
+                             ModesAgree, EagerS, DeferredS});
   }
 
   // E20: blind budget-backoff vs ledger-warmed adaptive scheduling, on
@@ -402,12 +373,11 @@ int main(int argc, char **argv) {
           "  {\"tier\": \"%s\", \"gmas\": %u, \"seed_nodes\": %zu, "
           "\"nodes\": %zu, \"classes\": %zu, \"quiesced\": %s, "
           "\"modes_agree\": %s, \"eager_s\": %.6f, \"deferred_s\": %.6f, "
-          "\"speedup_pct\": %.1f, \"attr_overhead_pct\": %.1f}%s\n",
+          "\"speedup_pct\": %.1f}%s\n",
           R.Tier.c_str(), R.Gmas, R.SeedNodes, R.Nodes, R.Classes,
           R.Quiesced ? "true" : "false", R.ModesAgree ? "true" : "false",
           R.EagerS, R.DeferredS,
           R.DeferredS > 0 ? 100.0 * R.EagerS / R.DeferredS : 0.0,
-          R.AttrOverheadPct,
           I + 1 < Records.size() || !E20Records.empty() ? "," : "");
     }
     for (size_t I = 0; I < E20Records.size(); ++I) {

@@ -49,24 +49,6 @@
 
 using namespace denali;
 
-namespace {
-
-/// Matches `--name=value` or `--name value`; \p I advances in the latter
-/// form. \returns the value, or nullptr when \p Arg is a different option.
-const char *flagValue(const char *Arg, const char *Name, int &I, int argc,
-                      char **argv) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0)
-    return nullptr;
-  if (Arg[Len] == '=')
-    return Arg + Len + 1;
-  if (Arg[Len] == '\0' && I + 1 < argc)
-    return argv[++I];
-  return nullptr;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   const char *Path = nullptr;
   bool ShowNops = false, Verify = true, Stats = false;

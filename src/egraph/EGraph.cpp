@@ -421,17 +421,21 @@ size_t EGraph::numClasses() const {
 
 void EGraph::repair(ClassId C) {
   ++Stats.Repairs;
-  // Take ownership of the parent list; surviving entries are re-added.
-  std::vector<ENodeId> Parents;
-  Parents.swap(ClassStates[C].Parents);
+  // Copy the parent list out and empty the class's list, which keeps its
+  // capacity; surviving entries are compacted to the front of the copy
+  // and re-added below.
+  std::vector<ENodeId> &Own = ClassStates[C].Parents;
+  RepairParents.assign(Own.begin(), Own.end());
+  Own.clear();
   if (RepairMark.size() < Nodes.size())
     RepairMark.resize(Nodes.size(), 0);
   if (++RepairEpoch == 0) {
     std::fill(RepairMark.begin(), RepairMark.end(), 0);
     RepairEpoch = 1;
   }
-  std::vector<ENodeId> NewParents;
-  for (ENodeId NId : Parents) {
+  size_t Kept = 0;
+  for (size_t I = 0; I < RepairParents.size(); ++I) {
+    const ENodeId NId = RepairParents[I];
     if (RepairMark[NId] == RepairEpoch)
       continue;
     RepairMark[NId] = RepairEpoch;
@@ -462,14 +466,15 @@ void EGraph::repair(ClassId C) {
         FoldQueue.push_back(NId);
       if (Changed && LogChanges)
         ChangeLog.push_back(NId);
-      NewParents.push_back(NId);
+      RepairParents[Kept++] = NId;
     }
   }
   // A congruence merge above can retire C itself (a parent may sit in
   // C's own class); its surviving parents then belong to the class that
   // absorbed it, which is already queued for its own repair.
   std::vector<ENodeId> &Into = ClassStates[UF.find(C)].Parents;
-  Into.insert(Into.end(), NewParents.begin(), NewParents.end());
+  Into.insert(Into.end(), RepairParents.begin(),
+              RepairParents.begin() + Kept);
 }
 
 void EGraph::processFoldQueue() {
@@ -570,12 +575,14 @@ void EGraph::rebuild() {
   // runs.
   for (;;) {
     if (!Worklist.empty()) {
-      std::vector<ClassId> Todo;
-      Todo.swap(Worklist);
-      std::sort(Todo.begin(), Todo.end());
-      Todo.erase(std::unique(Todo.begin(), Todo.end()), Todo.end());
-      for (ClassId C : Todo)
+      // Repairs queue onto the worklist, now RepairTodo's emptied buffer.
+      RepairTodo.swap(Worklist);
+      std::sort(RepairTodo.begin(), RepairTodo.end());
+      RepairTodo.erase(std::unique(RepairTodo.begin(), RepairTodo.end()),
+                       RepairTodo.end());
+      for (ClassId C : RepairTodo)
         repair(UF.find(C));
+      RepairTodo.clear();
       continue;
     }
     if (FoldConstants && !FoldQueue.empty()) {

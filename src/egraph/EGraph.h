@@ -454,6 +454,10 @@ private:
 
   // Pending congruence repairs (classes whose parents must be rehashed).
   std::vector<ClassId> Worklist;
+  // Scratch of rebuild() and repair(), reused across passes: the classes
+  // one rebuild pass repairs, and the parent list one repair walks.
+  std::vector<ClassId> RepairTodo;
+  std::vector<ENodeId> RepairParents;
   // repair()'s visited marks, by node id: a node is visited in the current
   // repair when its mark equals RepairEpoch.
   std::vector<uint32_t> RepairMark;

@@ -128,12 +128,15 @@ Elaborator denali::match::byteMaskElaborator() {
     const ir::Context &Ctx = G.context();
     ir::OpId AndOp = Ctx.Ops.builtin(Builtin::And64);
     ir::OpId ZapnotOp = Ctx.Ops.builtin(Builtin::Zapnot);
-    std::vector<ENodeId> Ands = G.nodesWithOp(AndOp);
-    for (ENodeId N : Ands) {
-      if (!G.node(N).Alive)
+    // By index: adding nodes below can move the per-operator lists, though
+    // it never adds an and.
+    for (size_t I = 0; I < G.nodesWithOp(AndOp).size(); ++I) {
+      const ENodeId N = G.nodesWithOp(AndOp)[I];
+      const ENode &And = G.node(N);
+      if (!And.Alive)
         continue;
       // A copy: addNode below may reallocate the node table.
-      const std::vector<ClassId> Children = G.node(N).Children;
+      const ClassId Children[2] = {And.Children[0], And.Children[1]};
       for (int ConstIdx = 0; ConstIdx < 2; ++ConstIdx) {
         std::optional<uint64_t> K = G.classConstant(Children[ConstIdx]);
         if (!K || *K == 0)
@@ -155,11 +158,13 @@ Elaborator denali::match::byteShiftElaborator() {
     const ir::Context &Ctx = G.context();
     ir::OpId ShlOp = Ctx.Ops.builtin(Builtin::Shl64);
     ir::OpId MulOp = Ctx.Ops.builtin(Builtin::Mul64);
-    std::vector<ENodeId> Shls = G.nodesWithOp(ShlOp);
-    for (ENodeId N : Shls) {
-      if (!G.node(N).Alive)
+    // By index: adding nodes below can move the per-operator lists, though
+    // it never adds a shift.
+    for (size_t I = 0; I < G.nodesWithOp(ShlOp).size(); ++I) {
+      const ENode &Shl = G.node(G.nodesWithOp(ShlOp)[I]);
+      if (!Shl.Alive)
         continue;
-      ClassId Amount = G.node(N).Children[1];
+      ClassId Amount = Shl.Children[1];
       std::optional<uint64_t> K = G.classConstant(Amount);
       if (!K || *K == 0 || *K >= 64 || *K % 8 != 0)
         continue;
@@ -190,15 +195,14 @@ Elaborator denali::match::offsetDisequalityElaborator() {
       uint64_t Offset;
     };
     std::unordered_map<uint64_t, std::vector<Entry>> Groups;
+    std::unordered_set<ClassId> OnPath; // decompose() leaves it empty.
     for (ClassId C : Indices) {
-      std::unordered_set<ClassId> OnPath;
       std::optional<BaseOffset> BO = decompose(G, Ctx, C, OnPath);
       if (!BO)
         continue;
       uint64_t GroupKey =
           BO->IsConst ? ~0ULL : static_cast<uint64_t>(BO->Base);
-      uint64_t Offset = BO->IsConst ? BO->Offset : BO->Offset;
-      Groups[GroupKey].push_back(Entry{C, Offset});
+      Groups[GroupKey].push_back(Entry{C, BO->Offset});
     }
     for (auto &[Key, Entries] : Groups) {
       (void)Key;

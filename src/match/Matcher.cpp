@@ -53,8 +53,8 @@ public:
     Stopped = false;
     const PatternNode &Root = Axm.pattern(Trigger);
     assert(Root.TheKind == PatternNode::Kind::App && "trigger must be App");
-    // The engine only reads the graph and the match callback only collects
-    // (instantiation happens after every work item has run), so the op
+    // The engine only reads the graph and the match callback only queues
+    // (instantiation happens after every axiom has matched), so the op
     // index is stable here — no defensive copy. Retired nodes in the
     // index are skipped.
     auto Found = [&] {
@@ -139,44 +139,6 @@ private:
       return;
     }
     }
-  }
-};
-
-/// One unit of the per-round match loop: one axiom trigger against its
-/// whole root list. Enumeration filters matches against the matcher's Done
-/// set, which only the merge phase adds to, so a match two items find
-/// this round survives both and the merge drops the second. Survivors
-/// carry their 1-based raw-match index so the merge phase can truncate at
-/// exactly the axiom's budget across its triggers.
-struct WorkItem {
-  uint32_t AxiomIdx = 0;
-  PatternId Trigger = 0;
-  /// The full scan's nodesWithOp(trigger op), or the semi-naive roots near
-  /// the log, in ascending id order.
-  const std::vector<ENodeId> *Roots = nullptr;
-  const uint32_t *Steps = nullptr; ///< Semi-naive: DeltaSteps::data().
-  uint64_t RawCap = 0;        ///< Stop enumerating at this many raw matches.
-  size_t StoreCap = 0;        ///< Stop after this many stored survivors.
-  uint64_t Raw = 0;           ///< Matches enumerated (pre-dedup).
-  uint64_t Deduped = 0;       ///< Filtered against Done.
-  std::vector<uint64_t> MatchRaw; ///< Survivors' 1-based raw indices.
-  std::vector<ClassId> MatchBindings; ///< Their canonical bindings, in turn.
-  bool Capped = false;        ///< Enumeration stopped at a cap.
-  uint64_t Ns = 0;            ///< Wall time enumerating this item.
-
-  /// Readies a reused item for a new round, keeping its vectors' capacity.
-  void reset(uint32_t Axm, PatternId Trig, uint64_t RawLimit,
-             size_t StoreLimit) {
-    AxiomIdx = Axm;
-    Trigger = Trig;
-    Roots = nullptr;
-    Steps = nullptr;
-    RawCap = RawLimit;
-    StoreCap = StoreLimit;
-    Raw = Deduped = Ns = 0;
-    MatchRaw.clear();
-    MatchBindings.clear();
-    Capped = false;
   }
 };
 
@@ -509,9 +471,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     }
 
   // Per-axiom attribution rows (the saturation profiler's raw output).
-  const bool ProfileOn = Limits.Profile;
-  if (ProfileOn)
-    Stats.PerAxiom.assign(NumAxioms, obs::AxiomProfile());
+  Stats.PerAxiom.assign(NumAxioms, obs::AxiomProfile());
 
   // Adaptive scheduling (--match-adaptive): replace "uniform budget +
   // blind doubling" with history. Two moves, both pure schedule changes
@@ -584,14 +544,10 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
   DeltaSteps Delta;
   G.setChangeLogging(true);
 
-  // Per-round scratch, reused across rounds: which axioms match, the work
-  // items (a reused item keeps its survivor vectors' capacity) and each
-  // axiom's range of them, one item's canonical bindings, the queued
-  // instances, and one match engine with its binding vectors.
+  // Per-round scratch, reused across rounds: which axioms match, one
+  // match's canonical bindings, the queued instances, and one match engine
+  // with its binding vectors.
   std::vector<uint8_t> Active(NumAxioms);
-  std::vector<WorkItem> Items;
-  size_t NumItems = 0;
-  std::vector<std::pair<size_t, size_t>> AxiomItems(NumAxioms);
   std::vector<ClassId> Scratch;
   struct PendingInstance {
     uint32_t AxiomIdx;
@@ -635,8 +591,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         SitOut[I] = 0;
         Active[I] = 0;
         ++Stats.BudgetSkips;
-        if (ProfileOn)
-          ++Stats.PerAxiom[I].Skips;
+        ++Stats.PerAxiom[I].Skips;
         SchedHeldBack = true;
       }
     }
@@ -657,79 +612,15 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       Delta.compute(G, MaxRootSteps);
     G.clearChangeLog();
 
-    // Build the round's work items in (axiom, trigger) order. Per-item
-    // caps keep memory bounded and make budget truncation exact: an
-    // item's share of its axiom's first `budget` raw matches is at most
-    // `budget`, so capping enumeration at budget+1 never drops a match the
-    // merge phase would keep, and a hit cap always proves a genuine
-    // overflow.
-    NumItems = 0;
-    for (uint32_t AIdx = 0; AIdx < NumAxioms; ++AIdx) {
-      AxiomItems[AIdx].first = NumItems;
-      const Axiom &A = Axioms[AIdx];
-      if (Active[AIdx] && !A.VarNames.empty()) {
-        assert(A.TriggerHeights.size() == A.Triggers.size() &&
-               "trigger heights are computed with the triggers");
-        for (size_t T = 0; T < A.Triggers.size(); ++T) {
-          ir::OpId Op = A.pattern(A.Triggers[T]).Op;
-          const std::vector<ENodeId> *Roots =
-              Complete[AIdx] ? &Delta.roots(G, Op, A.TriggerHeights[T] - 1)
-                             : &G.nodesWithOp(Op);
-          if (Roots->empty())
-            continue;
-          if (NumItems == Items.size())
-            Items.emplace_back();
-          WorkItem &It = Items[NumItems++];
-          It.reset(AIdx, A.Triggers[T],
-                   BudgetNow[AIdx] ? BudgetNow[AIdx] + 1 : UINT64_MAX,
-                   Limits.MaxInstancesPerRound + 1);
-          It.Roots = Roots;
-          if (Complete[AIdx])
-            It.Steps = Delta.data();
-        }
-      }
-      AxiomItems[AIdx].second = NumItems;
-    }
-
-    // Match generation: enumerate each item, canonicalize into a reused
-    // scratch key, filter against Done, store survivors. Only reads the
-    // graph; instantiation waits for the merge below. The operator views
-    // are refreshed here, once, for the classes the last round and the
-    // elaborators touched.
+    // Match generation, one pass in (axiom, trigger) order. Each match is
+    // canonicalized into a reused scratch key and dropped if Done holds it
+    // (queued this round or an earlier one); otherwise it goes into Done
+    // and is queued. The axiom's budget and the round's instance cap stop
+    // its enumeration at the first match they leave out. Only reads the
+    // graph; instantiation waits until every axiom has matched. The
+    // operator views are refreshed here, once, for the classes the last
+    // round and the elaborators touched.
     G.refreshOpViews();
-    for (size_t I = 0; I < NumItems; ++I) {
-      WorkItem &It = Items[I];
-      const int64_t T0 = ProfileOn ? obs::nowNs() : 0;
-      const Axiom &A = Axioms[It.AxiomIdx];
-      Scratch.resize(A.VarNames.size());
-      auto OnMatch = [&](const std::vector<ClassId> &Bs) -> bool {
-        ++It.Raw;
-        for (size_t V = 0; V < Bs.size(); ++V)
-          Scratch[V] = G.find(Bs[V]);
-        if (Done.find(It.AxiomIdx, Scratch.data(), Scratch.size()) !=
-            HashIndex::None) {
-          ++It.Deduped;
-        } else {
-          It.MatchRaw.push_back(It.Raw);
-          It.MatchBindings.insert(It.MatchBindings.end(), Scratch.begin(),
-                                  Scratch.end());
-        }
-        if (It.Raw >= It.RawCap || It.MatchRaw.size() >= It.StoreCap) {
-          It.Capped = true;
-          return false;
-        }
-        return true;
-      };
-      Engine.run(A, It.Trigger, *It.Roots, It.Steps, OnMatch);
-      if (ProfileOn)
-        It.Ns = static_cast<uint64_t>(obs::nowNs() - T0);
-    }
-
-    if (AnySemiNaive)
-      Delta.reset();
-
-    // Merge in item order: budget truncation, same-round dedup, pending
-    // collection. A queued instance goes straight into Done.
     Pending.clear();
     uint64_t TopRaw = 0; // This round's busiest axiom, for the round span.
     uint32_t TopAIdx = 0;
@@ -741,57 +632,59 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
           Pending.push_back(PendingInstance{AIdx, Done.insert(AIdx, nullptr, 0)});
         continue;
       }
+      const bool SemiNaive = Complete[AIdx];
       Complete[AIdx] = 0;
       if (!Active[AIdx])
         continue;
+      assert(A.TriggerHeights.size() == A.Triggers.size() &&
+             "trigger heights are computed with the triggers");
+      obs::AxiomProfile &AP = Stats.PerAxiom[AIdx];
+      const uint64_t Budget = BudgetNow[AIdx];
+      const size_t NumVars = A.VarNames.size();
+      Scratch.resize(NumVars);
       uint64_t Raw = 0;
       bool Truncated = false;
-      for (size_t I = AxiomItems[AIdx].first; I < AxiomItems[AIdx].second;
-           ++I) {
-        Raw += Items[I].Raw;
-        Stats.InstancesDeduped += Items[I].Deduped;
-        Truncated |= Items[I].Capped;
-        if (ProfileOn)
-          Stats.PerAxiom[AIdx].MatchNs += Items[I].Ns;
+      auto OnMatch = [&](const std::vector<ClassId> &Bs) {
+        // Raw match budget + 1 is counted: it is what proves the overflow.
+        ++Raw;
+        if (Budget && Raw > Budget) {
+          Truncated = true;
+          return false;
+        }
+        for (size_t V = 0; V < NumVars; ++V)
+          Scratch[V] = G.find(Bs[V]);
+        const ClassId *Key = Scratch.data();
+        const uint32_t Hash = InstanceSet::hash(AIdx, Key, NumVars);
+        if (Done.find(Hash, AIdx, Key, NumVars) != HashIndex::None) {
+          ++Stats.InstancesDeduped;
+          return true;
+        }
+        if (Pending.size() >= Limits.MaxInstancesPerRound) {
+          // Left out of Done: the next round must be able to find it.
+          Truncated = true;
+          return false;
+        }
+        Pending.push_back(
+            PendingInstance{AIdx, Done.insert(Hash, AIdx, Key, NumVars)});
+        return true;
+      };
+      for (size_t T = 0; T < A.Triggers.size() && !Truncated; ++T) {
+        ir::OpId Op = A.pattern(A.Triggers[T]).Op;
+        const std::vector<ENodeId> &Roots =
+            SemiNaive ? Delta.roots(G, Op, A.TriggerHeights[T] - 1)
+                      : G.nodesWithOp(Op);
+        if (Roots.empty())
+          continue;
+        const int64_t T0 = obs::nowNs();
+        Engine.run(A, A.Triggers[T], Roots,
+                   SemiNaive ? Delta.data() : nullptr, OnMatch);
+        AP.MatchNs += static_cast<uint64_t>(obs::nowNs() - T0);
       }
       Stats.MatchesFound += Raw;
-      if (ProfileOn)
-        Stats.PerAxiom[AIdx].Raw += Raw;
+      AP.Raw += Raw;
       if (Raw > TopRaw) {
         TopRaw = Raw;
         TopAIdx = AIdx;
-      }
-      uint64_t Budget = BudgetNow[AIdx];
-      if (Budget && Raw > Budget)
-        Truncated = true;
-      const size_t NumVars = A.VarNames.size();
-      uint64_t PrefixRaw = 0;
-      for (size_t I = AxiomItems[AIdx].first; I < AxiomItems[AIdx].second;
-           ++I) {
-        const WorkItem &It = Items[I];
-        for (size_t M = 0; M < It.MatchRaw.size(); ++M) {
-          // Keep only survivors within the first `Budget` raw matches of
-          // the sequential enumeration order.
-          if (Budget && PrefixRaw + It.MatchRaw[M] > Budget)
-            break;
-          const ClassId *Bindings = It.MatchBindings.data() + M * NumVars;
-          const uint32_t Hash = InstanceSet::hash(AIdx, Bindings, NumVars);
-          if (Done.find(Hash, AIdx, Bindings, NumVars) != HashIndex::None) {
-            // Found earlier this round (enumeration sees Done as it was
-            // at round start).
-            ++Stats.InstancesDeduped;
-            continue;
-          }
-          if (Pending.size() >= Limits.MaxInstancesPerRound) {
-            // Dropped matches stay out of Done — the next round must be
-            // able to re-find them.
-            Truncated = true;
-            continue;
-          }
-          Pending.push_back(PendingInstance{
-              AIdx, Done.insert(Hash, AIdx, Bindings, NumVars)});
-        }
-        PrefixRaw += It.Raw;
       }
       if (Truncated)
         SchedHeldBack = true;
@@ -801,16 +694,17 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         // Backoff: overflowed its budget — sit out next round, return
         // with double.
         ++Stats.BudgetOverflows;
-        if (ProfileOn)
-          ++Stats.PerAxiom[AIdx].Overflows;
+        ++AP.Overflows;
         SitOut[AIdx] = 1;
         BudgetNow[AIdx] = Budget * 2;
       }
     }
+    if (AnySemiNaive)
+      Delta.reset();
 
     // Per-axiom instantiate attribution is batched over the contiguous
-    // runs of one axiom's instances in Pending (the merge loop queues per
-    // axiom, in order), so the clock is read twice per axiom group, not
+    // runs of one axiom's instances in Pending (matching queues per axiom,
+    // in order), so the clock is read twice per axiom group, not
     // twice per instance — that difference is most of the attribution
     // overhead on instance-heavy rounds. Merges counts direct unions;
     // congruence repair is batched into the round rebuild and not
@@ -832,7 +726,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       if (G.isInconsistent())
         break;
       PendingInstance &P = Pending[Instantiated];
-      if (ProfileOn && P.AxiomIdx != GroupAIdx) {
+      if (P.AxiomIdx != GroupAIdx) {
         const int64_t Now = obs::nowNs();
         FlushGroup(Now);
         GroupAIdx = P.AxiomIdx;
@@ -843,17 +737,14 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
                                     Stats.Rounds, Done.bindings(P.Bindings));
       if (Changed) {
         ++Stats.InstancesAsserted;
-        if (ProfileOn) {
-          obs::AxiomProfile &AP = Stats.PerAxiom[P.AxiomIdx];
-          ++AP.Instances;
-          if (!AP.FirstRound)
-            AP.FirstRound = Stats.Rounds;
-          AP.LastRound = Stats.Rounds;
-        }
+        obs::AxiomProfile &AP = Stats.PerAxiom[P.AxiomIdx];
+        ++AP.Instances;
+        if (!AP.FirstRound)
+          AP.FirstRound = Stats.Rounds;
+        AP.LastRound = Stats.Rounds;
       }
     }
-    if (ProfileOn)
-      FlushGroup(obs::nowNs());
+    FlushGroup(obs::nowNs());
     // Instances the node cap (or a contradiction) cut off went into Done
     // when queued; take them back out so a later round can find them, and
     // scan in full next round, since this round's enumerations did not
@@ -944,24 +835,23 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     // Per-axiom attribution rows, as a counter family keyed by ledger id.
     // Only touched rows register, so the namespace holds the axioms that
     // actually did something, not the whole rule set times seven.
-    if (ProfileOn)
-      for (size_t I = 0; I < NumAxioms; ++I) {
-        const obs::AxiomProfile &AP = Stats.PerAxiom[I];
-        if (!AP.Raw && !AP.Instances && !AP.InstantiateNs && !AP.Skips)
-          continue;
-        std::string Base = "match.axiom." + axiomLedgerId(Axioms[I], I);
-        auto Add = [&R, &Base](const char *Leaf, uint64_t V) {
-          if (V)
-            R.counter(Base + Leaf).add(V);
-        };
-        Add(".raw", AP.Raw);
-        Add(".instances", AP.Instances);
-        Add(".merges", AP.Merges);
-        Add(".match_us", AP.MatchNs / 1000);
-        Add(".inst_us", AP.InstantiateNs / 1000);
-        Add(".overflows", AP.Overflows);
-        Add(".skips", AP.Skips);
-      }
+    for (size_t I = 0; I < NumAxioms; ++I) {
+      const obs::AxiomProfile &AP = Stats.PerAxiom[I];
+      if (!AP.Raw && !AP.Instances && !AP.InstantiateNs && !AP.Skips)
+        continue;
+      std::string Base = "match.axiom." + axiomLedgerId(Axioms[I], I);
+      auto Add = [&R, &Base](const char *Leaf, uint64_t V) {
+        if (V)
+          R.counter(Base + Leaf).add(V);
+      };
+      Add(".raw", AP.Raw);
+      Add(".instances", AP.Instances);
+      Add(".merges", AP.Merges);
+      Add(".match_us", AP.MatchNs / 1000);
+      Add(".inst_us", AP.InstantiateNs / 1000);
+      Add(".overflows", AP.Overflows);
+      Add(".skips", AP.Skips);
+    }
   }
   return Stats;
 }

@@ -31,9 +31,10 @@
 ///     expansive axioms (a side materially larger than the other, e.g.
 ///     k*x -> shifts/adds) join once the cheap phase quiesces.
 ///
-/// Each round enumerates every active (axiom, trigger) against the graph
-/// as the round found it, then merges the matches in that order and
-/// instantiates them.
+/// Each round is one pass over the active axioms' triggers, in (axiom,
+/// trigger) order, against the graph as the round found it: a match is
+/// queued where it is found, unless the done set already holds it, and
+/// the queued instances are asserted once every axiom has matched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,10 +56,14 @@ namespace match {
 struct MatchLimits {
   unsigned MaxRounds = 24;
   size_t MaxNodes = 60000;          ///< Stop instantiating past this size.
+  /// Instances queued per round. The first axiom match it leaves out
+  /// stops that axiom's enumeration for the round.
   size_t MaxInstancesPerRound = 200000;
-  /// Per-axiom, per-round raw-match budget; 0 = unlimited (scheduler
-  /// inert). Overflowing axioms back off for a round and double their
-  /// budget (`--match-budget`).
+  /// Per-axiom, per-round raw-match budget, across all the axiom's
+  /// triggers; 0 = unlimited (scheduler inert). An axiom stops enumerating
+  /// at raw match budget + 1, which proves the overflow; overflowing
+  /// axioms back off for a round and double their budget
+  /// (`--match-budget`).
   uint64_t MatchBudget = 0;
   /// Phase the rule set: expansive axioms wait until the cheap phase
   /// quiesces (`--match-phases`).
@@ -68,11 +73,6 @@ struct MatchLimits {
   /// reference of the EagerDeferredEquivalence tests and the
   /// bench_egraph_scale A/B; no flag sets it).
   bool EagerRebuild = false;
-  /// Per-axiom attribution (MatchStats::PerAxiom + match.axiom.* counters).
-  /// Always on in production; the only reason to turn it off is the
-  /// bench_egraph_scale overhead A/B (E20), which measures what the
-  /// timing calls cost. Never changes matching behavior.
-  bool Profile = true;
   /// History-driven scheduling (`--match-adaptive`): seed per-axiom
   /// budgets and phase assignment from Ledger's rows under LedgerKey
   /// instead of uniform budgets + blind doubling. Axioms without history
@@ -92,9 +92,12 @@ struct MatchLimits {
 struct MatchStats {
   unsigned Rounds = 0;
   /// Matches enumerated: every match of a full scan, and only the matches
-  /// through a changed node of a semi-naive one.
+  /// through a changed node of a semi-naive one. An axiom cut short by its
+  /// budget counts budget + 1; one cut by the instance cap counts up to its
+  /// first match left out.
   uint64_t MatchesFound = 0;
-  uint64_t InstancesDeduped = 0; ///< Matches dropped as already queued.
+  /// Matches dropped as already queued, this round or an earlier one.
+  uint64_t InstancesDeduped = 0;
   uint64_t InstancesAsserted = 0;
   size_t FinalNodes = 0;
   size_t FinalClasses = 0;
@@ -112,8 +115,8 @@ struct MatchStats {
   // Adaptive scheduling decisions (--match-adaptive; 0 when off).
   uint64_t AdaptiveSeeded = 0;  ///< Axioms whose budget came from history.
   uint64_t AdaptiveDemoted = 0; ///< Never-productive axioms demoted.
-  /// Per-axiom attribution, indexed like Matcher::axioms() (empty when
-  /// MatchLimits::Profile is off). Raw / Instances / Merges / Overflows /
+  /// Per-axiom attribution, indexed like Matcher::axioms(); also the
+  /// match.axiom.* counters. Raw / Instances / Merges / Overflows /
   /// Skips / First-LastRound are deterministic for a fixed workload; the
   /// *Ns fields are wall time.
   std::vector<obs::AxiomProfile> PerAxiom;
@@ -236,8 +239,7 @@ std::vector<Elaborator> standardElaborators();
 /// Records one saturation run's per-axiom attribution into \p Ledger under
 /// \p GraphKey: one row (Runs=1) per non-ground axiom — all-zero rows
 /// included, so "matched nothing across N runs" is itself history the
-/// adaptive scheduler can demote on. No-op when the run was made with
-/// MatchLimits::Profile off.
+/// adaptive scheduler can demote on.
 void recordMatchProfile(obs::ProfileLedger &Ledger,
                         const std::string &GraphKey,
                         const std::vector<Axiom> &Axioms,

@@ -4,9 +4,11 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace denali;
 
@@ -101,6 +103,39 @@ bool denali::parsePositiveDecimal(const char *S, unsigned &Out) {
     return false;
   Out = static_cast<unsigned>(V);
   return true;
+}
+
+bool denali::parseDecimalNumber(const char *S, double &Out) {
+  // Digits and at most one point: strtod alone would also take a sign, an
+  // exponent, hex, "inf" and "nan".
+  size_t Digits = 0, Points = 0;
+  for (const char *P = S; *P; ++P) {
+    if (*P >= '0' && *P <= '9')
+      ++Digits;
+    else if (*P == '.' && !Points)
+      ++Points;
+    else
+      return false;
+  }
+  if (!Digits)
+    return false;
+  double V = std::strtod(S, nullptr);
+  if (!std::isfinite(V))
+    return false; // Too many digits.
+  Out = V;
+  return true;
+}
+
+const char *denali::flagValue(const char *Arg, const char *Name, int &I,
+                              int Argc, char **Argv) {
+  size_t Len = std::strlen(Name);
+  if (std::strncmp(Arg, Name, Len) != 0)
+    return nullptr;
+  if (Arg[Len] == '=')
+    return Arg + Len + 1;
+  if (Arg[Len] == '\0' && I + 1 < Argc)
+    return Argv[++I];
+  return nullptr;
 }
 
 std::string denali::formatConstant(uint64_t V) {

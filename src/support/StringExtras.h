@@ -41,6 +41,19 @@ bool parseDecimal(const char *S, uint64_t &Out);
 /// "12x" or "abc"); the value is stored in \p Out.
 bool parsePositiveDecimal(const char *S, unsigned &Out);
 
+/// \returns true if \p S is a non-negative, finite decimal number, a
+/// fraction allowed (the command-line form of a time where 0 means off:
+/// "0", "250" or "0.5", but not "-1", "1e3", "inf", "1.5x" or "abc"); the
+/// value is stored in \p Out.
+bool parseDecimalNumber(const char *S, double &Out);
+
+/// The value of the command-line flag \p Name if \p Arg, which is
+/// argv[I], is that flag: "--name=value", or "--name value", which
+/// advances \p I past the value. nullptr when \p Arg is another flag or
+/// its value is missing.
+const char *flagValue(const char *Arg, const char *Name, int &I, int Argc,
+                      char **Argv);
+
 /// Renders \p V as a decimal if small, hexadecimal otherwise (readability of
 /// masks like 0xffff in printed terms).
 std::string formatConstant(uint64_t V);

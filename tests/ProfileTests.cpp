@@ -226,40 +226,39 @@ TEST(ProfileLedger, SaveWritesLoadableFile) {
 // Attribution: recordMatchProfile and MatchStats::PerAxiom
 //===----------------------------------------------------------------------===
 
-TEST(ProfileAttribution, PerAxiomSumsReconcileWithAggregate) {
-  ir::Context Ctx;
-  match::MatchStats S = runSat(Ctx, figure2Seeds(Ctx), match::MatchLimits());
-  ASSERT_TRUE(S.Quiesced);
+/// Checks that \p S's per-axiom rows add up to its run totals.
+void expectPerAxiomSumsReconcile(const match::MatchStats &S) {
   ASSERT_FALSE(S.PerAxiom.empty());
-
-  uint64_t Raw = 0, Instances = 0;
+  uint64_t Raw = 0, Instances = 0, Overflows = 0, Skips = 0;
   for (const obs::AxiomProfile &P : S.PerAxiom) {
     Raw += P.Raw;
     Instances += P.Instances;
+    Overflows += P.Overflows;
+    Skips += P.Skips;
     if (P.Instances) {
       EXPECT_GE(P.LastRound, P.FirstRound);
     }
   }
   EXPECT_EQ(Raw, S.MatchesFound);
   EXPECT_EQ(Instances, S.InstancesAsserted);
+  EXPECT_EQ(Overflows, S.BudgetOverflows);
+  EXPECT_EQ(Skips, S.BudgetSkips);
 }
 
-TEST(ProfileAttribution, ProfileOffSkipsPerAxiomWithoutChangingClosure) {
+TEST(ProfileAttribution, PerAxiomSumsReconcileWithAggregate) {
   ir::Context Ctx;
-  std::vector<unsigned> POn, POff;
-  match::MatchLimits On, Off;
-  Off.Profile = false;
-  match::MatchStats A = runSat(Ctx, figure2Seeds(Ctx), On, &POn);
-  match::MatchStats B = runSat(Ctx, figure2Seeds(Ctx), Off, &POff);
-  uint64_t Attributed = 0;
-  for (const obs::AxiomProfile &P : B.PerAxiom)
-    Attributed += P.Raw + P.Instances + P.Skips;
-  EXPECT_EQ(Attributed, 0u);
-  EXPECT_EQ(A.MatchesFound, B.MatchesFound);
-  EXPECT_EQ(A.Rounds, B.Rounds);
-  EXPECT_EQ(A.FinalNodes, B.FinalNodes);
-  EXPECT_EQ(A.FinalClasses, B.FinalClasses);
-  EXPECT_EQ(POn, POff);
+  match::MatchStats S = runSat(Ctx, figure2Seeds(Ctx), match::MatchLimits());
+  ASSERT_TRUE(S.Quiesced);
+  expectPerAxiomSumsReconcile(S);
+
+  // Again with rounds that caps cut: a budget of 2 stops axioms partway
+  // through their triggers' enumeration.
+  match::MatchLimits Budgeted;
+  Budgeted.MatchBudget = 2;
+  S = runSat(Ctx, figure2Groups(Ctx, 4), Budgeted);
+  ASSERT_TRUE(S.Quiesced);
+  ASSERT_GT(S.BudgetOverflows, 0u);
+  expectPerAxiomSumsReconcile(S);
 }
 
 TEST(ProfileAttribution, RecordsAllNonGroundAxiomsIncludingIdleOnes) {

@@ -116,6 +116,16 @@ std::vector<ir::TermId> figure2Groups(ir::Context &Ctx, unsigned Groups) {
   return Seeds;
 }
 
+/// Parses one axiom over \p Ctx's operators.
+match::Axiom parseTestAxiom(ir::Context &Ctx, const char *Text) {
+  sexpr::ParseResult R = sexpr::parseOne(Text);
+  EXPECT_TRUE(R.ok());
+  std::string Err;
+  std::optional<match::Axiom> A = match::parseAxiom(Ctx, R.Forms[0], &Err);
+  EXPECT_TRUE(A.has_value()) << Err;
+  return A.value();
+}
+
 /// Rounds-bounded limits with non-binding size caps (see file header).
 match::MatchLimits roundsBounded(unsigned Rounds) {
   match::MatchLimits L;
@@ -337,13 +347,8 @@ TEST(SaturationSchedule, AxiomPhaseSplitsBuiltinRuleSet) {
   EXPECT_GT(Cheap, 0u);
   EXPECT_GT(Expansive, 0u);
 
-  auto phaseOf = [&](const std::string &Text) {
-    sexpr::ParseResult R = sexpr::parseOne(Text);
-    EXPECT_TRUE(R.ok());
-    std::string Err;
-    std::optional<match::Axiom> A = match::parseAxiom(Ctx, R.Forms[0], &Err);
-    EXPECT_TRUE(A.has_value()) << Err;
-    return match::Matcher::axiomPhase(*A);
+  auto phaseOf = [&](const char *Text) {
+    return match::Matcher::axiomPhase(parseTestAxiom(Ctx, Text));
   };
   // Same-size rewrites are cheap; a side >= 2 applications larger is
   // expansive (the k*x -> shifts/adds shape).
@@ -383,38 +388,41 @@ TEST(SaturationSchedule, SameRoundDuplicatesAreDropped) {
   EXPECT_EQ(S.InstancesAsserted, 1u);
 }
 
-/// One round of the axiom f(x) = g(x) over \p Roots nodes f(a_i) of
-/// distinct variables: the trigger (f x) has that many roots, each a
-/// match, and (g x) has none.
-match::MatchStats saturateWideTrigger(unsigned Roots,
-                                      const match::MatchLimits &Limits) {
+/// One round of \p AxiomTexts over the unary operators f, g, h and k,
+/// where each operator named in \p Seeded has \p Roots nodes op(a_i) over
+/// distinct variables a_i.
+match::MatchStats saturateWideTriggers(
+    const std::vector<const char *> &AxiomTexts,
+    const std::vector<const char *> &Seeded, unsigned Roots,
+    const match::MatchLimits &Limits) {
   ir::Context Ctx;
-  ir::OpId FOp = Ctx.Ops.declareOp("f", 1);
-  Ctx.Ops.declareOp("g", 1);
-  sexpr::ParseResult Text =
-      sexpr::parseOne(R"((\axiom (forall (x) (eq (f x) (g x)))))");
-  EXPECT_TRUE(Text.ok());
-  std::string Err;
-  std::optional<match::Axiom> A = match::parseAxiom(Ctx, Text.Forms[0], &Err);
-  EXPECT_TRUE(A.has_value()) << Err;
-  const std::vector<match::Axiom> Axioms{*A};
+  std::unordered_map<std::string, ir::OpId> Ops;
+  for (const char *Name : {"f", "g", "h", "k"})
+    Ops[Name] = Ctx.Ops.declareOp(Name, 1);
+  std::vector<match::Axiom> Axioms;
+  for (const char *Text : AxiomTexts)
+    Axioms.push_back(parseTestAxiom(Ctx, Text));
 
   egraph::EGraph G(Ctx);
-  for (unsigned I = 0; I < Roots; ++I) {
-    ClassId X = G.addNode(Ctx.Ops.makeVariable(strFormat("a%u", I)), {});
-    G.addNode(FOp, {X});
-  }
+  for (const char *Op : Seeded)
+    for (unsigned I = 0; I < Roots; ++I) {
+      ClassId X = G.addNode(Ctx.Ops.makeVariable(strFormat("a%u", I)), {});
+      G.addNode(Ops.at(Op), {X});
+    }
   match::Matcher M(Axioms);
   return M.saturate(G, Limits);
 }
 
-TEST(SaturationSchedule, BudgetCapsEnumerationPerTrigger) {
-  // A trigger's whole root list is one unit of enumeration, so a binding
-  // budget stops it at budget + 1 raw matches however many roots the
-  // trigger has, and the merge keeps the first budget of them.
+const char *const FEqualsG = R"((\axiom (forall (x) (eq (f x) (g x)))))";
+const char *const HEqualsK = R"((\axiom (forall (x) (eq (h x) (k x)))))";
+
+TEST(SaturationSchedule, BudgetStopsAWideTriggerAtBudgetPlusOne) {
+  // A trigger with 3000 roots, each a match: a binding budget stops it at
+  // budget + 1 raw matches however many roots it has, and the round
+  // asserts the first budget of them.
   match::MatchLimits Limits = roundsBounded(1);
   Limits.MatchBudget = 10;
-  match::MatchStats S = saturateWideTrigger(3000, Limits);
+  match::MatchStats S = saturateWideTriggers({FEqualsG}, {"f"}, 3000, Limits);
   EXPECT_EQ(S.MatchesFound, 11u);
   EXPECT_EQ(S.InstancesAsserted, 10u);
   EXPECT_EQ(S.BudgetOverflows, 1u);
@@ -423,16 +431,46 @@ TEST(SaturationSchedule, BudgetCapsEnumerationPerTrigger) {
   EXPECT_EQ(S.PerAxiom[0].Overflows, 1u);
 }
 
-TEST(SaturationSchedule, InstanceCapStopsEnumerationPerTrigger) {
-  // Likewise the per-round instance cap: a trigger stores at most cap + 1
-  // new matches, and the round asserts cap instances.
+TEST(SaturationSchedule, InstanceCapStopsAWideTriggerAtItsFirstLeftOutMatch) {
+  // Likewise the per-round instance cap: the trigger stops at the first
+  // match the full pending list leaves out, cap + 1 raw matches, and the
+  // round asserts cap instances.
   match::MatchLimits Limits = roundsBounded(1);
   Limits.MaxInstancesPerRound = 50;
-  match::MatchStats S = saturateWideTrigger(3000, Limits);
+  match::MatchStats S = saturateWideTriggers({FEqualsG}, {"f"}, 3000, Limits);
   EXPECT_EQ(S.MatchesFound, 51u);
   EXPECT_EQ(S.InstancesAsserted, 50u);
   EXPECT_EQ(S.BudgetOverflows, 0u);
   EXPECT_FALSE(S.Quiesced);
+}
+
+TEST(SaturationSchedule, BudgetCapsEnumerationPerAxiom) {
+  // The budget caps the axiom, not each trigger: once (f x) has found
+  // budget + 1 matches, (g x) does not enumerate at all.
+  match::MatchLimits Limits = roundsBounded(1);
+  Limits.MatchBudget = 10;
+  match::MatchStats S =
+      saturateWideTriggers({FEqualsG}, {"f", "g"}, 3000, Limits);
+  EXPECT_EQ(S.MatchesFound, 11u);
+  EXPECT_EQ(S.InstancesAsserted, 10u);
+  EXPECT_EQ(S.BudgetOverflows, 1u);
+  ASSERT_EQ(S.PerAxiom.size(), 1u);
+  EXPECT_EQ(S.PerAxiom[0].Raw, 11u);
+}
+
+TEST(SaturationSchedule, InstanceCapStopsEachAxiomAtItsFirstLeftOutMatch) {
+  // The first axiom fills the pending list and stops at the match it
+  // leaves out (51 raw); the second stops at its first match (1 raw).
+  match::MatchLimits Limits = roundsBounded(1);
+  Limits.MaxInstancesPerRound = 50;
+  match::MatchStats S =
+      saturateWideTriggers({FEqualsG, HEqualsK}, {"f", "h"}, 3000, Limits);
+  EXPECT_EQ(S.MatchesFound, 52u);
+  EXPECT_EQ(S.InstancesAsserted, 50u);
+  EXPECT_FALSE(S.Quiesced);
+  ASSERT_EQ(S.PerAxiom.size(), 2u);
+  EXPECT_EQ(S.PerAxiom[0].Raw, 51u);
+  EXPECT_EQ(S.PerAxiom[1].Raw, 1u);
 }
 
 TEST(SaturationSchedule, NodeCapCutRoundIsNotQuiescent) {
@@ -460,13 +498,9 @@ TEST(SaturationSchedule, SemiNaiveRoundFindsMatchOnlyAUnionCreates) {
   // round 2, whose semi-naive scan must find the match from the change
   // log alone.
   ir::Context Ctx;
-  sexpr::ParseResult Text = sexpr::parseOne(
-      R"((\axiom (forall (k n) (eq (\mul64 k (\pow 2 n)) (\shl64 k n)))))");
-  ASSERT_TRUE(Text.ok());
-  std::string Err;
-  std::optional<match::Axiom> A = match::parseAxiom(Ctx, Text.Forms[0], &Err);
-  ASSERT_TRUE(A.has_value()) << Err;
-  const std::vector<match::Axiom> Axioms{*A};
+  const std::vector<match::Axiom> Axioms{parseTestAxiom(
+      Ctx,
+      R"((\axiom (forall (k n) (eq (\mul64 k (\pow 2 n)) (\shl64 k n)))))")};
 
   // No constant folding: it would unite 2**2 with 4 on sight.
   egraph::EGraph G(Ctx, /*FoldConstants=*/false);

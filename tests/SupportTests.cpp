@@ -115,6 +115,50 @@ TEST(ParseDecimal, RejectsSignsJunkAndOverflow) {
   EXPECT_EQ(V, 64u);
 }
 
+TEST(ParseDecimalNumber, AcceptsZeroCountsAndFractions) {
+  double V = 7;
+  EXPECT_TRUE(parseDecimalNumber("0", V));
+  EXPECT_EQ(V, 0.0);
+  EXPECT_TRUE(parseDecimalNumber("250", V));
+  EXPECT_EQ(V, 250.0);
+  EXPECT_TRUE(parseDecimalNumber("0.5", V));
+  EXPECT_EQ(V, 0.5);
+  EXPECT_TRUE(parseDecimalNumber(".25", V));
+  EXPECT_EQ(V, 0.25);
+  EXPECT_TRUE(parseDecimalNumber("3.", V));
+  EXPECT_EQ(V, 3.0);
+}
+
+TEST(ParseDecimalNumber, RejectsSignsExponentsJunkAndInfinity) {
+  double V = 64;
+  const std::string TooBig(400, '9'); // Past DBL_MAX.
+  for (const char *S : {"", ".", "-1", "+1", " 1", "1 ", "1e3", "0x10",
+                        "inf", "nan", "1.5x", "1..5", "1.2.3", "abc",
+                        TooBig.c_str()})
+    EXPECT_FALSE(parseDecimalNumber(S, V)) << "'" << S << "'";
+  EXPECT_EQ(V, 64.0);
+}
+
+TEST(FlagValue, TakesTheEqualsAndTheSeparateForms) {
+  char Prog[] = "tool", Eq[] = "--x=5", Sep[] = "--x", Val[] = "7",
+       Other[] = "--xy=1", Last[] = "--x";
+  char *Argv[] = {Prog, Eq, Sep, Val, Other, Last};
+  const int Argc = 6;
+  int I = 1;
+  EXPECT_STREQ(flagValue(Argv[I], "--x", I, Argc, Argv), "5");
+  EXPECT_EQ(I, 1);
+  I = 2;
+  EXPECT_STREQ(flagValue(Argv[I], "--x", I, Argc, Argv), "7");
+  EXPECT_EQ(I, 3); // Advanced past the value.
+  I = 4;
+  EXPECT_EQ(flagValue(Argv[I], "--x", I, Argc, Argv), nullptr);
+  EXPECT_EQ(I, 4);
+  // The last argument has no value to take.
+  I = 5;
+  EXPECT_EQ(flagValue(Argv[I], "--x", I, Argc, Argv), nullptr);
+  EXPECT_EQ(I, 5);
+}
+
 TEST(FormatConstant, SmallDecimalLargeHex) {
   EXPECT_EQ(formatConstant(7), "7");
   EXPECT_EQ(formatConstant(1023), "1023");

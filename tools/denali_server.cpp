@@ -76,18 +76,6 @@ using namespace denali;
 
 namespace {
 
-const char *flagValue(const char *Arg, const char *Name, int &I, int argc,
-                      char **argv) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Arg, Name, Len) != 0)
-    return nullptr;
-  if (Arg[Len] == '=')
-    return Arg + Len + 1;
-  if (Arg[Len] == '\0' && I + 1 < argc)
-    return argv[++I];
-  return nullptr;
-}
-
 /// Parses "64m", "512k", "2g", or a plain byte count.
 bool parseBytes(const char *S, size_t &Out) {
   if (*S < '0' || *S > '9')
@@ -134,6 +122,7 @@ int usageError(const char *Flag, const char *Value,
 }
 
 constexpr const char *DecimalOrZero = "a decimal integer (0 = off)";
+constexpr const char *DecimalNumberOrZero = "a decimal number (0 = off)";
 
 int runBulk(server::CompileServer &Server, const std::string &Path,
             bool PrintStats) {
@@ -240,10 +229,12 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "--obs-off") == 0) {
       SOpts.Telemetry = false;
     } else if (const char *V = flagValue(Arg, "--slow-ms", I, argc, argv)) {
-      SOpts.SlowMs = std::atof(V);
+      if (!parseDecimalNumber(V, SOpts.SlowMs))
+        return usageError("--slow-ms", V, DecimalNumberOrZero);
     } else if (const char *V =
                    flagValue(Arg, "--metrics-flush-sec", I, argc, argv)) {
-      SOpts.MetricsFlushSec = std::atof(V);
+      if (!parseDecimalNumber(V, SOpts.MetricsFlushSec))
+        return usageError("--metrics-flush-sec", V, DecimalNumberOrZero);
     } else if (const char *V =
                    flagValue(Arg, "--metrics-flush-out", I, argc, argv)) {
       SOpts.MetricsFlushPath = V;
