@@ -493,8 +493,7 @@ void EGraph::processFoldQueue() {
       continue;
     if (classConstant(classOf(NId)))
       continue; // Already known constant.
-    std::vector<uint64_t> Args;
-    Args.reserve(N.Children.size());
+    FoldArgs.clear();
     bool AllConst = true;
     for (ClassId C : N.Children) {
       std::optional<uint64_t> V = classConstant(C);
@@ -502,11 +501,11 @@ void EGraph::processFoldQueue() {
         AllConst = false;
         break;
       }
-      Args.push_back(*V);
+      FoldArgs.push_back(*V);
     }
     if (!AllConst)
       continue;
-    uint64_t Val = ir::evalBuiltinInt(B, Args);
+    uint64_t Val = ir::evalBuiltinInt(B, FoldArgs);
     ClassId ConstClass = addConst(Val);
     mergeClasses(classOf(NId), ConstClass,
                  Justification::constantFold(NId));

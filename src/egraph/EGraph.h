@@ -464,6 +464,8 @@ private:
   uint32_t RepairEpoch = 0;
   // Nodes whose constant-fold status should be (re)checked.
   std::deque<ENodeId> FoldQueue;
+  // processFoldQueue()'s operand values, reused across fold candidates.
+  std::vector<uint64_t> FoldArgs;
 
   struct Clause {
     std::vector<Literal> Lits;

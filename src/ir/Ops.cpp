@@ -127,13 +127,13 @@ OpId OpTable::builtin(Builtin B) const {
   return BuiltinIds[static_cast<size_t>(B)];
 }
 
-OpId OpTable::makeVariable(const std::string &Name) {
+OpId OpTable::makeVariable(std::string_view Name) {
   auto It = ByName.find(Name);
   if (It != ByName.end()) {
     const OpInfo &Existing = info(It->second);
     if (Existing.Kind != OpKind::Variable)
-      reportFatalError(
-          strFormat("'%s' already names a non-variable", Name.c_str()));
+      reportFatalError(strFormat("'%s' already names a non-variable",
+                                 Existing.Name.c_str()));
     return It->second;
   }
   OpInfo Info;
@@ -160,14 +160,9 @@ OpId OpTable::declareOp(const std::string &Name, int Arity) {
   return addOp(std::move(Info));
 }
 
-std::optional<OpId> OpTable::lookup(const std::string &Name) const {
+std::optional<OpId> OpTable::lookup(std::string_view Name) const {
   auto It = ByName.find(Name);
   if (It == ByName.end())
     return std::nullopt;
   return It->second;
-}
-
-const OpInfo &OpTable::info(OpId Id) const {
-  assert(Id < Infos.size() && "bad OpId");
-  return Infos[Id];
 }

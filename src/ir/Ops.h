@@ -21,11 +21,14 @@
 #ifndef DENALI_IR_OPS_H
 #define DENALI_IR_OPS_H
 
+#include "support/StableVector.h"
+
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace denali {
 namespace ir {
@@ -131,7 +134,11 @@ struct OpInfo {
 };
 
 /// Owns all operators of one superoptimization context and provides
-/// name-based lookup. OpIds are stable for the table's lifetime.
+/// name-based lookup. OpIds are stable for the table's lifetime, and so
+/// are the OpInfo references info() hands out: appending an operator
+/// (every new variable name does) never moves an existing one, and size()
+/// and info() may be read without the lock that serializes the appends
+/// (the compile server's front-end lock; see support/StableVector.h).
 class OpTable {
 public:
   OpTable();
@@ -140,16 +147,19 @@ public:
   OpId builtin(Builtin B) const;
 
   /// Declares (or returns the existing) variable named \p Name.
-  OpId makeVariable(const std::string &Name);
+  OpId makeVariable(std::string_view Name);
 
   /// Declares an operator via \opdecl. Fails fatally if \p Name clashes with
   /// an existing operator of a different arity or kind.
   OpId declareOp(const std::string &Name, int Arity);
 
   /// Name-based lookup. \returns std::nullopt if unknown.
-  std::optional<OpId> lookup(const std::string &Name) const;
+  std::optional<OpId> lookup(std::string_view Name) const;
 
-  const OpInfo &info(OpId Id) const;
+  const OpInfo &info(OpId Id) const {
+    assert(Id < Infos.size() && "bad OpId");
+    return Infos[Id];
+  }
   size_t size() const { return Infos.size(); }
 
   bool isVariable(OpId Id) const { return info(Id).Kind == OpKind::Variable; }
@@ -157,8 +167,15 @@ public:
   Builtin builtinOf(OpId Id) const { return info(Id).BuiltinOp; }
 
 private:
-  std::vector<OpInfo> Infos;
-  std::unordered_map<std::string, OpId> ByName;
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
+  StableVector<OpInfo> Infos;
+  std::unordered_map<std::string, OpId, NameHash, std::equal_to<>> ByName;
   OpId BuiltinIds[static_cast<size_t>(Builtin::NumBuiltins)] = {};
 
   OpId addOp(OpInfo Info);

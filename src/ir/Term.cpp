@@ -10,36 +10,72 @@
 using namespace denali;
 using namespace denali::ir;
 
-TermId TermTable::intern(Key K) {
+namespace {
+
+uint64_t mix(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
+} // namespace
+
+TermTable::TermTable(OpTable &Ops)
+    : Ops(Ops), Interned(64, IdHash{this}, IdEq{this}) {}
+
+size_t TermTable::keyHash(const KeyView &K) {
+  size_t H = std::hash<uint64_t>()((static_cast<uint64_t>(K.Op) << 32) ^
+                                   K.ConstVal);
+  for (TermId C : K.Children)
+    H = H * 1000003u ^ C;
+  return H;
+}
+
+uint64_t TermTable::shapeHash(const KeyView &K) const {
+  const OpInfo &Info = Ops.info(K.Op);
+  if (Info.Kind == OpKind::Variable)
+    return mix(~0ULL); // Name-blind: every variable has one shape.
+  uint64_t H = mix((static_cast<uint64_t>(K.Op) << 32) ^ K.Children.size());
+  if (Info.BuiltinOp == Builtin::Const)
+    return mix(H ^ K.ConstVal);
+  if (Info.Commutative) {
+    uint64_t Sum = 0; // Order-free: a sum of mixed operand shapes.
+    for (TermId C : K.Children)
+      Sum += mix(node(C).ShapeHash);
+    return mix(H ^ Sum);
+  }
+  for (TermId C : K.Children)
+    H = mix(H ^ node(C).ShapeHash);
+  return H;
+}
+
+TermId TermTable::intern(const KeyView &K) {
   auto It = Interned.find(K);
   if (It != Interned.end())
-    return It->second;
-  TermId Id = static_cast<TermId>(Nodes.size());
-  Nodes.push_back(TermNode{K.Op, K.Children, K.ConstVal});
-  Interned.emplace(std::move(K), Id);
+    return *It;
+  TermId Id = static_cast<TermId>(Nodes.push_back(TermNode{
+      K.Op, std::vector<TermId>(K.Children.begin(), K.Children.end()),
+      K.ConstVal, shapeHash(K)}));
+  Interned.insert(Id);
   return Id;
 }
 
-TermId TermTable::make(OpId Op, const std::vector<TermId> &Children) {
+TermId TermTable::make(OpId Op, std::span<const TermId> Children) {
   const OpInfo &Info = Ops.info(Op);
   assert(static_cast<size_t>(Info.Arity) == Children.size() &&
          "arity mismatch");
   (void)Info;
-  return intern(Key{Op, Children, 0});
+  return intern(KeyView{Op, Children, 0});
 }
 
 TermId TermTable::makeConst(uint64_t Value) {
-  return intern(Key{Ops.builtin(Builtin::Const), {}, Value});
+  return intern(KeyView{Ops.builtin(Builtin::Const), {}, Value});
 }
 
-TermId TermTable::makeVar(const std::string &Name) {
+TermId TermTable::makeVar(std::string_view Name) {
   OpId Op = Ops.makeVariable(Name);
-  return intern(Key{Op, {}, 0});
-}
-
-const TermNode &TermTable::node(TermId Id) const {
-  assert(Id < Nodes.size() && "bad TermId");
-  return Nodes[Id];
+  return intern(KeyView{Op, {}, 0});
 }
 
 TermId TermTable::substitute(TermId Root,

@@ -4,104 +4,113 @@
 
 #include "support/StringExtras.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <cassert>
+#include <charconv>
 
 using namespace denali;
 using namespace denali::server;
 
 namespace {
 
-/// Builds canonical identity text for a GMA without interning anything.
-/// Two passes over the same deterministic traversal order:
-///   1. shape: a name-blind string per term, with commutative builtin
-///      operands sorted by their child shapes (so the shape itself is
-///      order-insensitive);
-///   2. print: the canonical text, reusing the shape strings to order
-///      commutative operands (stable — ties keep source order, which is
-///      harmless: tied operands print identically) and handing out
-///      v0, v1, ... variable names in first-use order.
+/// Prints a GMA's canonical text into one buffer. Commutative operands
+/// print in a fixed total order of their name-blind shapes (compare()),
+/// ties keeping source order; variables print as v0, v1, ... in first-use
+/// order. The shapes come memoized on the terms (TermNode::ShapeHash), so
+/// no shape is built here, and nothing is allocated per node.
 class Canonicalizer {
 public:
-  explicit Canonicalizer(const ir::Context &Ctx) : Ctx(Ctx) {}
+  Canonicalizer(const ir::Context &Ctx, CanonicalGma &C)
+      : Ctx(Ctx), Out(C.Text), VarMap(C.VarMap) {}
 
-  const std::string &shape(ir::TermId T) {
-    auto It = Shapes.find(T);
-    if (It != Shapes.end())
-      return It->second;
+  void print(ir::TermId T) {
     const ir::TermNode &N = Ctx.Terms.node(T);
-    std::string S;
-    if (Ctx.Ops.isConst(N.Op)) {
-      S = strFormat("#%llu", (unsigned long long)N.ConstVal);
-    } else if (Ctx.Ops.isVariable(N.Op)) {
-      S = "?";
-    } else {
-      std::vector<std::string> Kids;
-      Kids.reserve(N.Children.size());
-      for (ir::TermId C : N.Children)
-        Kids.push_back(shape(C));
-      if (Ctx.Ops.info(N.Op).Commutative)
-        std::stable_sort(Kids.begin(), Kids.end());
-      S = "(" + Ctx.Ops.info(N.Op).Name;
-      for (const std::string &K : Kids)
-        S += " " + K;
-      S += ")";
-    }
-    return Shapes.emplace(T, std::move(S)).first->second;
-  }
-
-  void print(ir::TermId T, std::string &Out) {
-    const ir::TermNode &N = Ctx.Terms.node(T);
-    if (Ctx.Ops.isConst(N.Op)) {
-      Out += strFormat("%llu", (unsigned long long)N.ConstVal);
-      return;
-    }
+    if (Ctx.Ops.isConst(N.Op))
+      return number(N.ConstVal);
     if (Ctx.Ops.isVariable(N.Op)) {
-      Out += canonVar(Ctx.Ops.info(N.Op).Name);
-      return;
+      Out += 'v';
+      return number(varNumber(N.Op));
     }
-    std::vector<size_t> Order(N.Children.size());
-    for (size_t I = 0; I < Order.size(); ++I)
-      Order[I] = I;
-    if (Ctx.Ops.info(N.Op).Commutative)
-      std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-        return shape(N.Children[A]) < shape(N.Children[B]);
-      });
+    const std::string &Name = Ctx.Ops.info(N.Op).Name;
     if (N.Children.empty()) {
       // Nullary declared op: prints bare, like a variable, but is not one.
-      Out += Ctx.Ops.info(N.Op).Name;
+      Out += Name;
       return;
     }
-    Out += "(" + Ctx.Ops.info(N.Op).Name;
-    for (size_t I : Order) {
-      Out += " ";
-      print(N.Children[I], Out);
+    Out += '(';
+    Out += Name;
+    const bool Swap = swapped(N);
+    for (size_t I = 0; I < N.Children.size(); ++I) {
+      Out += ' ';
+      print(N.Children[Swap ? N.Children.size() - 1 - I : I]);
     }
-    Out += ")";
+    Out += ')';
   }
 
-  const std::string &canonVar(const std::string &Orig) {
-    auto It = Vars.find(Orig);
-    if (It != Vars.end())
-      return It->second;
-    std::string Canon = strFormat("v%zu", Vars.size());
-    VarOrder.push_back(Orig);
-    return Vars.emplace(Orig, std::move(Canon)).first->second;
-  }
-
-  std::vector<std::pair<std::string, std::string>> varMap() const {
-    std::vector<std::pair<std::string, std::string>> Map;
-    Map.reserve(VarOrder.size());
-    for (const std::string &Orig : VarOrder)
-      Map.emplace_back(Orig, Vars.at(Orig));
-    return Map;
+  void number(uint64_t V) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
   }
 
 private:
+  /// Constants sort first, then applications, then variables: the order
+  /// the shape strings of earlier versions had ('#' < '(' < '?').
+  int rank(const ir::TermNode &N) const {
+    if (Ctx.Ops.isConst(N.Op))
+      return 0;
+    return Ctx.Ops.isVariable(N.Op) ? 2 : 1;
+  }
+
+  /// A fixed total order of name-blind shapes: by rank, then by shape
+  /// hash. Equal keys mean equal shapes or a hash collision, so they are
+  /// compared structurally, children in print order. \returns <0, 0, >0.
+  int compare(ir::TermId A, ir::TermId B) const {
+    if (A == B)
+      return 0;
+    const ir::TermNode &NA = Ctx.Terms.node(A);
+    const ir::TermNode &NB = Ctx.Terms.node(B);
+    if (int R = rank(NA) - rank(NB); R != 0 || rank(NA) == 2)
+      return R; // Every variable has one shape.
+    if (NA.ShapeHash != NB.ShapeHash)
+      return NA.ShapeHash < NB.ShapeHash ? -1 : 1;
+    if (NA.Op != NB.Op)
+      return NA.Op < NB.Op ? -1 : 1;
+    if (NA.ConstVal != NB.ConstVal)
+      return NA.ConstVal < NB.ConstVal ? -1 : 1;
+    const size_t K = NA.Children.size(); // Same operator, same arity.
+    const bool SwapA = swapped(NA), SwapB = swapped(NB);
+    for (size_t I = 0; I < K; ++I)
+      if (int C = compare(NA.Children[SwapA ? K - 1 - I : I],
+                          NB.Children[SwapB ? K - 1 - I : I]))
+        return C;
+    return 0;
+  }
+
+  /// Whether \p N's operands print in reverse source order: N is
+  /// commutative and its second operand's shape sorts first. Every
+  /// commutative operator is binary (ir/Ops.cpp).
+  bool swapped(const ir::TermNode &N) const {
+    if (!Ctx.Ops.info(N.Op).Commutative)
+      return false;
+    assert(N.Children.size() == 2 && "commutative operators are binary");
+    return compare(N.Children[1], N.Children[0]) < 0;
+  }
+
+  /// The canonical number of variable \p Op, handing out the next one on
+  /// its first use. A GMA has few variables, so the search is linear.
+  size_t varNumber(ir::OpId Op) {
+    for (size_t I = 0; I < VarOps.size(); ++I)
+      if (VarOps[I] == Op)
+        return I;
+    VarOps.push_back(Op);
+    VarMap.emplace_back(Ctx.Ops.info(Op).Name,
+                        "v" + std::to_string(VarOps.size() - 1));
+    return VarOps.size() - 1;
+  }
+
   const ir::Context &Ctx;
-  std::unordered_map<ir::TermId, std::string> Shapes;
-  std::unordered_map<std::string, std::string> Vars;
-  std::vector<std::string> VarOrder;
+  std::string &Out;
+  std::vector<std::pair<std::string, std::string>> &VarMap;
+  std::vector<ir::OpId> VarOps; ///< Parallel to VarMap.
 };
 
 } // namespace
@@ -112,68 +121,83 @@ CanonicalGma denali::server::canonicalizeGma(const ir::Context &Ctx,
   C.Name = G.Name;
   C.Targets = G.Targets;
 
-  Canonicalizer Canon(Ctx);
+  Canonicalizer Canon(Ctx, C);
   // Same clause order as verify::printGma, so the canonical text is
   // itself a parseable GMA (useful for debugging and for exact-compare on
   // cache lookup).
   std::string &Out = C.Text;
+  Out.reserve(256);
   Out = "(gma g";
   for (size_t I = 0; I < G.Targets.size(); ++I) {
-    Out += strFormat("\n  (assign %s ", G.Targets[I] == "M"
-                                            ? "M"
-                                            : strFormat("o%zu", I).c_str());
-    Canon.print(G.NewVals[I], Out);
-    Out += ")";
+    Out += "\n  (assign ";
+    if (G.Targets[I] == "M") {
+      Out += 'M';
+    } else {
+      Out += 'o';
+      Canon.number(I);
+    }
+    Out += ' ';
+    Canon.print(G.NewVals[I]);
+    Out += ')';
   }
   if (G.Guard) {
     Out += "\n  (guard ";
-    Canon.print(*G.Guard, Out);
-    Out += ")";
+    Canon.print(*G.Guard);
+    Out += ')';
   }
   for (ir::TermId A : G.MissAddrs) {
     Out += "\n  (miss ";
-    Canon.print(A, Out);
-    Out += ")";
+    Canon.print(A);
+    Out += ')';
   }
   for (const gma::GMA::Assumption &A : G.Assumptions) {
-    Out += strFormat("\n  (assume %s ", A.IsEq ? "eq" : "neq");
-    Canon.print(A.Lhs, Out);
-    Out += " ";
-    Canon.print(A.Rhs, Out);
-    Out += ")";
+    Out += A.IsEq ? "\n  (assume eq " : "\n  (assume neq ";
+    Canon.print(A.Lhs);
+    Out += ' ';
+    Canon.print(A.Rhs);
+    Out += ')';
   }
-  Out += ")";
-  C.VarMap = Canon.varMap();
+  Out += ')';
   return C;
+}
+
+namespace {
+
+/// Two independent FNV-1a streams with distinct offset bases.
+void feed(uint64_t &A, uint64_t &B, std::string_view S) {
+  for (unsigned char Ch : S) {
+    A = (A ^ Ch) * 0x100000001b3ULL;
+    B = (B ^ Ch) * 0x100000001b3ULL;
+    B += B << 7;
+  }
+}
+
+/// The splitmix64 finalizer.
+uint64_t mix(uint64_t X) {
+  X += 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
+} // namespace
+
+KeySeed::KeySeed(std::string_view Fingerprint) {
+  feed(A, B, Fingerprint);
+  feed(A, B, "\x1f"); // Separator: fingerprint and text cannot bleed.
+}
+
+Key128 KeySeed::key(std::string_view CanonText) const {
+  // Collisions are tolerable (lookups exact-compare the canonical text);
+  // the key only has to spread well across shards.
+  uint64_t KA = A, KB = B;
+  feed(KA, KB, CanonText);
+  return Key128{mix(KA), mix(KB)};
 }
 
 Key128 denali::server::makeKey(std::string_view CanonText,
                                std::string_view Fingerprint) {
-  // Two independent FNV-1a streams with distinct offset bases, finalized
-  // with splitmix64. Collisions are tolerable (lookups exact-compare the
-  // canonical text); the key only has to spread well across shards.
-  auto Mix = [](uint64_t X) {
-    X += 0x9e3779b97f4a7c15ULL;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-    return X ^ (X >> 31);
-  };
-  uint64_t A = 0xcbf29ce484222325ULL;
-  uint64_t B = 0x84222325cbf29ce4ULL;
-  auto Feed = [&](std::string_view S) {
-    for (unsigned char Ch : S) {
-      A = (A ^ Ch) * 0x100000001b3ULL;
-      B = (B ^ Ch) * 0x100000001b3ULL;
-      B += B << 7;
-    }
-  };
-  Feed(CanonText);
-  Feed("\x1f"); // Separator: text and fingerprint cannot bleed together.
-  Feed(Fingerprint);
-  Key128 K;
-  K.Hi = Mix(A);
-  K.Lo = Mix(B);
-  return K;
+  return KeySeed(Fingerprint).key(CanonText);
 }
 
 std::string denali::server::matchFingerprint(const driver::Options &Opts) {

@@ -7,16 +7,18 @@
 /// result (or a saturated e-graph) produced for one can be served to the
 /// other after a pure renaming.
 ///
-/// The canonical form is derived without interning anything: shapes and
-/// names are computed on the fly over the hash-consed term table, so
-/// canonicalizing a pre-interned GMA is a pure read on ir::Context and is
-/// safe to run concurrently with compiles.
+/// The canonical form is derived without interning anything: it reads the
+/// shape hashes the term table memoized at interning, so canonicalizing a
+/// pre-interned GMA is a pure read on ir::Context and is safe to run
+/// concurrently with compiles and with another request's parse.
 ///
 /// Key derivation (documented in DESIGN.md §7):
-///   key = hash128(canonical text ‖ options fingerprint)
+///   key = hash128(options fingerprint ‖ canonical text)
 /// and every cache entry stores the canonical text, which is compared
 /// exactly on lookup — the 128-bit hash only routes to a shard/bucket, so
-/// a hash collision can never serve a wrong result.
+/// a hash collision can never serve a wrong result. The fingerprint comes
+/// first so that a server, whose options never change, hashes it once
+/// (KeySeed) and each request hashes only its text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +61,10 @@ struct CanonicalGma {
   /// The canonical GMA, printed in verify::GmaText syntax: name stripped
   /// to "g", targets positional ("o0", "o1", ... — "M" stays "M"),
   /// variables alpha-renamed v0, v1, ... in first-use order, commutative
-  /// builtin operands sorted by a name-blind shape string.
+  /// builtin operands in a fixed total order of their name-blind shapes
+  /// (constants, then applications by memoized shape hash, then
+  /// variables), ties keeping source order. The text spells the whole
+  /// GMA, so equal texts mean equal GMAs up to that renaming.
   std::string Text;
   /// Original variable name -> canonical name ("v<k>"), in first-use
   /// order. Serving a request from an entry produced by another request
@@ -75,7 +80,18 @@ struct CanonicalGma {
 /// Canonicalizes \p G. Pure read on \p Ctx (no interning).
 CanonicalGma canonicalizeGma(const ir::Context &Ctx, const gma::GMA &G);
 
-/// Hashes canonical text + options fingerprint into a 128-bit key.
+/// An options fingerprint, hashed: key(Text) == makeKey(Text, Fingerprint).
+class KeySeed {
+public:
+  explicit KeySeed(std::string_view Fingerprint);
+  Key128 key(std::string_view CanonText) const;
+
+private:
+  uint64_t A = 0xcbf29ce484222325ULL;
+  uint64_t B = 0x84222325cbf29ce4ULL;
+};
+
+/// Hashes options fingerprint + canonical text into a 128-bit key.
 Key128 makeKey(std::string_view CanonText, std::string_view Fingerprint);
 
 /// Fingerprint of every driver option that influences saturation and the

@@ -95,6 +95,8 @@ driver::GmaResult denali::server::renameResult(const driver::GmaResult &Cached,
 
 CompileServer::CompileServer(ServerOptions Opts)
     : SOpts(Opts), Opt(Opts.Pipeline),
+      ResultKeys(resultFingerprint(Opt.options())),
+      GraphKeys(matchFingerprint(Opt.options())),
       Pool(Opts.Threads == 0 ? 1 : Opts.Threads),
       Results(Opts.CacheBytes, "server.cache"),
       // --cache-bytes 0 is the "no acceleration at all" switch: it turns
@@ -108,6 +110,9 @@ CompileServer::CompileServer(ServerOptions Opts)
       InFlightGauge(obs::Registry::global().gauge("server.inflight")),
       InFlightMaxGauge(obs::Registry::global().gauge("server.inflight.max")),
       QueueDepthGauge(obs::Registry::global().gauge("server.queue.depth")),
+      RequestCounter(obs::Registry::global().counter("server.requests")),
+      ParseErrorCounter(
+          obs::Registry::global().counter("server.parse_errors")),
       SlowCounter(obs::Registry::global().counter("server.slow_requests")) {
   // Always-on telemetry: a server with no explicit obs configuration still
   // mints request ids, stamps spans, and feeds the live windows. Metrics
@@ -208,13 +213,11 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
         .arg("machine", SOpts.Pipeline.MachineName.c_str());
   Timer T;
   Requests.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::global().counter("server.requests").add();
+  RequestCounter.add();
 
   // Canonicalization is a pure read on the shared Context; no lock.
   CanonicalGma C = canonicalizeGma(Opt.context(), G);
-  const driver::Options &DOpts =
-      static_cast<const driver::Superoptimizer &>(Opt).options();
-  Key128 RKey = makeKey(C.Text, resultFingerprint(DOpts));
+  Key128 RKey = ResultKeys.key(C.Text);
 
   // Tier 1: result cache.
   if (std::shared_ptr<const CachedResult> Hit = Results.get(RKey, C.Text)) {
@@ -227,7 +230,7 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
 
   // Tier 2: warm saturated graph. The shared_ptr we hold keeps the graph
   // alive even if the memo evicts the entry mid-compile.
-  Key128 GKey = makeKey(C.Text, matchFingerprint(DOpts));
+  Key128 GKey = GraphKeys.key(C.Text);
   if (std::shared_ptr<const CachedGraph> Warm = Graphs.get(GKey, C.Text)) {
     WarmCompiles.fetch_add(1, std::memory_order_relaxed);
     driver::GmaResult R = Opt.compileSaturated(Warm->Saturated, G);
@@ -275,7 +278,7 @@ ServerResponse CompileServer::compileText(const std::string &Text) {
     if (!Parsed) {
       Requests.fetch_add(1, std::memory_order_relaxed);
       ParseErrors.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("server.parse_errors").add();
+      ParseErrorCounter.add();
       ServerResponse R;
       R.Result.Error = "parse: " + Err;
       return R;
@@ -348,7 +351,7 @@ CompileServer::compileBulk(const std::vector<std::string> &Texts) {
     if (!Reqs[I].Ok) {
       Requests.fetch_add(1, std::memory_order_relaxed);
       ParseErrors.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("server.parse_errors").add();
+      ParseErrorCounter.add();
       Responses[I].Result.Error = "parse: " + Reqs[I].Err;
     }
   return Responses;

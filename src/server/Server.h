@@ -24,7 +24,9 @@
 /// (the driver interns every term at parse/translate time), so they run
 /// lock-free on worker threads; only request *parsing* interns and is
 /// serialized behind one front-end mutex. Canonicalization is a pure
-/// read and needs no lock.
+/// read and needs no lock. Reads may overlap another request's parse:
+/// the term and operator tables never move an element when they grow,
+/// and their sizes are safe to read concurrently (support/StableVector.h).
 ///
 /// Wire protocol (line-oriented s-exprs; see serve()):
 ///   -> (gma <name> (assign t <term>) ...)       compile one GMA
@@ -56,8 +58,8 @@ namespace server {
 
 struct ServerOptions {
   /// Pipeline configuration for the embedded Superoptimizer. Fixed for
-  /// the server's lifetime; both cache keys fingerprint it, so entries
-  /// can never leak across configurations.
+  /// the server's lifetime; both cache keys fingerprint it (once, at
+  /// construction), so entries can never leak across configurations.
   driver::Options Pipeline;
   /// Worker threads compiling requests concurrently.
   unsigned Threads = 2;
@@ -174,6 +176,10 @@ private:
 
   ServerOptions SOpts;
   driver::Superoptimizer Opt;
+  /// The result and match fingerprints of Opt's options, formatted and
+  /// hashed once: a server's options never change, so a request hashes
+  /// only its canonical text.
+  const KeySeed ResultKeys, GraphKeys;
   support::ThreadPool Pool;
   std::mutex FrontEndMu; ///< Serializes interning (parse) on Opt's Context.
   ShardedLruCache<CachedResult> Results;
@@ -185,7 +191,7 @@ private:
   // lifetime, so the per-request hot path never takes the registry mutex.
   obs::WindowedHistogram &WinAll, &WinCold, &WinWarm, &WinHit;
   obs::Gauge &InFlightGauge, &InFlightMaxGauge, &QueueDepthGauge;
-  obs::Counter &SlowCounter;
+  obs::Counter &RequestCounter, &ParseErrorCounter, &SlowCounter;
   obs::MetricsFlusher Flusher;
 };
 

@@ -5,7 +5,6 @@
 #include "obs/Obs.h"
 #include "support/StringExtras.h"
 
-#include <cctype>
 #include <string_view>
 
 using namespace denali;
@@ -17,25 +16,94 @@ std::string ParseError::toString() const {
 
 namespace {
 
-/// Recursive-descent reader over a character buffer. Tokenization is
-/// zero-copy: atoms are scanned as string_views into the input, runs of
-/// trivia are skipped in bulk, and the only per-token allocation is the
-/// final std::string a *symbol* atom hands to SExpr::makeSymbol (integer
-/// atoms allocate nothing). This is the bulk-ingestion fast path the
-/// compile server's --bulk mode and bench_server's parse-throughput
-/// figure measure.
+/// std::isspace in the "C" locale (the only one the tools run in), inline:
+/// the lexer tests every input character.
+bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+} // namespace
+
+void Lexer::skipTrivia() {
+  while (Pos < Text.size()) {
+    char C = Text[Pos];
+    if (isSpace(C)) {
+      // Bulk-skip the whitespace run, counting newlines once.
+      size_t Start = Pos;
+      size_t LastNewline = std::string_view::npos;
+      while (Pos < Text.size() && isSpace(Text[Pos])) {
+        if (Text[Pos] == '\n') {
+          ++Line;
+          LastNewline = Pos;
+        }
+        ++Pos;
+      }
+      if (LastNewline != std::string_view::npos)
+        Col = static_cast<unsigned>(Pos - LastNewline);
+      else
+        Col += static_cast<unsigned>(Pos - Start);
+      continue;
+    }
+    if (C == ';') {
+      // Comment to end of line: one find instead of a char loop.
+      size_t Nl = Text.find('\n', Pos);
+      if (Nl == std::string_view::npos) {
+        Col += static_cast<unsigned>(Text.size() - Pos);
+        Pos = Text.size();
+      } else {
+        Col += static_cast<unsigned>(Nl - Pos);
+        Pos = Nl; // The newline itself is whitespace; next iteration.
+      }
+      continue;
+    }
+    break;
+  }
+}
+
+Token Lexer::next() {
+  skipTrivia();
+  Token T;
+  T.Line = Line;
+  T.Col = Col;
+  T.Offset = Pos;
+  if (Pos >= Text.size())
+    return T; // End.
+  char C = Text[Pos];
+  if (C == '(' || C == ')') {
+    T.TheKind = C == '(' ? Token::Kind::Open : Token::Kind::Close;
+    ++Pos;
+    ++Col;
+    return T;
+  }
+  // Atom: scan to the next delimiter. Delimiters include every whitespace
+  // character, so a token never contains a newline and the position
+  // bookkeeping is a single add.
+  size_t Start = Pos;
+  while (Pos < Text.size()) {
+    char D = Text[Pos];
+    if (D == '(' || D == ')' || D == ';' || isSpace(D))
+      break;
+    ++Pos;
+  }
+  Col += static_cast<unsigned>(Pos - Start);
+  T.Text = Text.substr(Start, Pos - Start);
+  T.TheKind = parseIntegerLiteral(T.Text, T.Int) ? Token::Kind::Integer
+                                                 : Token::Kind::Symbol;
+  return T;
+}
+
+namespace {
+
+/// Recursive-descent tree builder over the Lexer's tokens. The only
+/// per-token allocation is the std::string a *symbol* atom hands to
+/// SExpr::makeSymbol (integer atoms allocate nothing).
 class Reader {
 public:
-  explicit Reader(std::string_view Text) : Text(Text) {}
+  explicit Reader(std::string_view Text) : Lex(Text) {}
 
   ParseResult readAll() {
     ParseResult Result;
-    for (;;) {
-      skipTrivia();
-      if (atEnd())
-        break;
+    for (Token T = Lex.next(); !T.is(Token::Kind::End); T = Lex.next()) {
       SExpr E;
-      if (!readExpr(E, Result))
+      if (!readExpr(T, E, Result))
         return Result;
       Result.Forms.push_back(std::move(E));
     }
@@ -43,112 +111,41 @@ public:
   }
 
 private:
-  std::string_view Text;
-  size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Col = 1;
+  Lexer Lex;
 
-  bool atEnd() const { return Pos >= Text.size(); }
-  char peek() const { return Text[Pos]; }
-
-  void advance() {
-    if (Text[Pos] == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    ++Pos;
-  }
-
-  void skipTrivia() {
-    while (!atEnd()) {
-      char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
-        // Bulk-skip the whitespace run, counting newlines once.
-        size_t Start = Pos;
-        size_t LastNewline = std::string_view::npos;
-        while (Pos < Text.size() &&
-               std::isspace(static_cast<unsigned char>(Text[Pos]))) {
-          if (Text[Pos] == '\n') {
-            ++Line;
-            LastNewline = Pos;
-          }
-          ++Pos;
-        }
-        if (LastNewline != std::string_view::npos)
-          Col = static_cast<unsigned>(Pos - LastNewline);
-        else
-          Col += static_cast<unsigned>(Pos - Start);
-        continue;
-      }
-      if (C == ';') {
-        // Comment to end of line: one find instead of a char loop.
-        size_t Nl = Text.find('\n', Pos);
-        if (Nl == std::string_view::npos) {
-          Col += static_cast<unsigned>(Text.size() - Pos);
-          Pos = Text.size();
-        } else {
-          Col += static_cast<unsigned>(Nl - Pos);
-          Pos = Nl; // The newline itself is whitespace; next iteration.
-        }
-        continue;
-      }
-      break;
-    }
-  }
-
-  static bool isDelimiter(char C) {
-    return C == '(' || C == ')' || C == ';' ||
-           std::isspace(static_cast<unsigned char>(C));
-  }
-
-  bool fail(ParseResult &Result, std::string Msg) {
-    Result.Error = ParseError{std::move(Msg), Line, Col};
+  static bool fail(ParseResult &Result, const Token &At, std::string Msg) {
+    Result.Error = ParseError{std::move(Msg), At.Line, At.Col};
     return false;
   }
 
-  bool readExpr(SExpr &Out, ParseResult &Result) {
-    skipTrivia();
-    if (atEnd())
-      return fail(Result, "unexpected end of input");
-    unsigned StartLine = Line, StartCol = Col;
-    char C = peek();
-    if (C == ')')
-      return fail(Result, "unexpected ')'");
-    if (C == '(') {
-      advance();
-      std::vector<SExpr> Elems;
-      for (;;) {
-        skipTrivia();
-        if (atEnd())
-          return fail(Result, "unterminated list (missing ')')");
-        if (peek() == ')') {
-          advance();
-          break;
-        }
-        SExpr Child;
-        if (!readExpr(Child, Result))
-          return false;
-        Elems.push_back(std::move(Child));
-      }
-      Out = SExpr::makeList(std::move(Elems), StartLine, StartCol);
+  bool readExpr(const Token &T, SExpr &Out, ParseResult &Result) {
+    switch (T.TheKind) {
+    case Token::Kind::End:
+      return fail(Result, T, "unexpected end of input");
+    case Token::Kind::Close:
+      return fail(Result, T, "unexpected ')'");
+    case Token::Kind::Integer:
+      Out = SExpr::makeInteger(T.Int, T.Line, T.Col);
       return true;
-    }
-    // Atom: scan to the next delimiter as a view — no per-token string.
-    // Delimiters include every whitespace character, so a token can never
-    // contain a newline and the position bookkeeping is a single add.
-    size_t Start = Pos;
-    while (Pos < Text.size() && !isDelimiter(Text[Pos]))
-      ++Pos;
-    Col += static_cast<unsigned>(Pos - Start);
-    std::string_view Token = Text.substr(Start, Pos - Start);
-    int64_t IntVal;
-    if (parseIntegerLiteral(Token, IntVal)) {
-      Out = SExpr::makeInteger(IntVal, StartLine, StartCol);
+    case Token::Kind::Symbol:
+      Out = SExpr::makeSymbol(std::string(T.Text), T.Line, T.Col);
       return true;
+    case Token::Kind::Open:
+      break;
     }
-    Out = SExpr::makeSymbol(std::string(Token), StartLine, StartCol);
+    std::vector<SExpr> Elems;
+    for (;;) {
+      Token E = Lex.next();
+      if (E.is(Token::Kind::End))
+        return fail(Result, E, "unterminated list (missing ')')");
+      if (E.is(Token::Kind::Close))
+        break;
+      SExpr Child;
+      if (!readExpr(E, Child, Result))
+        return false;
+      Elems.push_back(std::move(Child));
+    }
+    Out = SExpr::makeList(std::move(Elems), T.Line, T.Col);
     return true;
   }
 };

@@ -77,7 +77,9 @@ bool denali::parseIntegerLiteral(std::string_view S, int64_t &Out) {
       return false;
     Val = Val * static_cast<uint64_t>(Base) + static_cast<uint64_t>(Digit);
   }
-  Out = Neg ? -static_cast<int64_t>(Val) : static_cast<int64_t>(Val);
+  // Negate as unsigned: -0x8000000000000000 wraps to INT64_MIN without
+  // the signed overflow of negating it as an int64_t.
+  Out = static_cast<int64_t>(Neg ? 0 - Val : Val);
   return true;
 }
 

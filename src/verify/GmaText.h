@@ -41,7 +41,12 @@ std::string printGma(const ir::Context &Ctx, const gma::GMA &G);
 std::optional<ir::TermId> parseTerm(ir::Context &Ctx, const std::string &Text,
                                     std::string *ErrorOut);
 
-/// Parses one (gma ...) form.
+/// Parses one (gma ...) form. The compile server's request reader: it
+/// interns terms straight from sexpr::Lexer's tokens, building no SExpr
+/// tree. Of several faults it reports the one a walk over the parsed tree
+/// would meet first (any syntax error, then the form count, then the
+/// first failing check in pre-order). A failed parse may leave the terms
+/// it read before the fault interned.
 std::optional<gma::GMA> parseGma(ir::Context &Ctx, const std::string &Text,
                                  std::string *ErrorOut);
 

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MalformedGmaSeeds.h"
+
 #include "server/Server.h"
 
 #include "obs/Obs.h"
@@ -23,11 +25,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace denali;
 using namespace denali::server;
@@ -155,6 +162,118 @@ TEST(CanonTest, GeneratedGmasCanonicalizeStably) {
     ASSERT_TRUE(Canon.has_value()) << Err << "\n" << C1.Text;
     EXPECT_EQ(C1.Text, canonicalizeGma(Opt.context(), *Canon).Text);
   }
+}
+
+/// The draws of GmaGen \p Seed that the server-mix benchmark keeps: the
+/// first 120 canonically distinct ones. \returns the indices it drops,
+/// and the number of draws, in \p Draws.
+std::vector<unsigned> droppedDraws(uint64_t Seed, unsigned &Draws,
+                                   std::vector<gma::GMA> *Kept = nullptr,
+                                   driver::Superoptimizer *Opt = nullptr) {
+  driver::Superoptimizer Own(smallOptions());
+  ir::Context &Ctx = (Opt ? *Opt : Own).context();
+  verify::GmaGen Gen(Ctx, Seed);
+  std::unordered_set<std::string> Texts;
+  std::vector<unsigned> Dropped;
+  for (Draws = 0; Texts.size() < 120; ++Draws) {
+    gma::GMA G = Gen.next();
+    if (!Texts.insert(canonicalizeGma(Ctx, G).Text).second)
+      Dropped.push_back(Draws);
+    else if (Kept)
+      Kept->push_back(std::move(G));
+  }
+  return Dropped;
+}
+
+// The benchmark's server-mix stream keeps the first 120 canonically
+// distinct GmaGen draws. These are the draws the canonical identity kept
+// when it ordered operands by shape strings; any fixed total order of
+// shapes groups GMAs the same way, so they must not move.
+TEST(CanonTest, GmaGenCorporaKeepTheirDraws) {
+  unsigned Draws = 0;
+  EXPECT_EQ(droppedDraws(17, Draws),
+            (std::vector<unsigned>{28, 63, 77, 114, 122}));
+  EXPECT_EQ(Draws, 125u);
+  EXPECT_EQ(droppedDraws(1017, Draws),
+            (std::vector<unsigned>{17, 23, 27, 88, 109, 122, 123}));
+  EXPECT_EQ(Draws, 127u);
+}
+
+/// A name-blind shape string with sorted commutative operands, as the
+/// canonical identity used to order operands by.
+std::string shapeString(const ir::Context &Ctx, ir::TermId T) {
+  const ir::TermNode &N = Ctx.Terms.node(T);
+  if (Ctx.Ops.isConst(N.Op))
+    return "#" + std::to_string(N.ConstVal);
+  if (Ctx.Ops.isVariable(N.Op))
+    return "?";
+  std::vector<std::string> Kids;
+  for (ir::TermId C : N.Children)
+    Kids.push_back(shapeString(Ctx, C));
+  if (Ctx.Ops.info(N.Op).Commutative)
+    std::sort(Kids.begin(), Kids.end());
+  std::string S = "(" + Ctx.Ops.info(N.Op).Name;
+  for (const std::string &K : Kids)
+    S += " " + K;
+  return S + ")";
+}
+
+// Every variant of a kept skeleton that renames its variables and swaps
+// the operands of commutative operators gets the skeleton's canonical
+// text. (Operands of equal shape keep their source order in the text,
+// so only differently shaped ones are swapped here.)
+TEST(CanonTest, RenamedCommutedVariantsOfKeptSkeletonsShareItsText) {
+  driver::Superoptimizer Opt(smallOptions());
+  ir::Context &Ctx = Opt.context();
+  std::vector<gma::GMA> Kept;
+  unsigned Draws = 0;
+  droppedDraws(17, Draws, &Kept, &Opt);
+  ASSERT_EQ(Kept.size(), 120u);
+  std::mt19937_64 Rng(17);
+  unsigned Swaps = 0;
+  for (size_t S = 0; S < Kept.size(); ++S) {
+    const gma::GMA &G = Kept[S];
+    const std::string Want = canonicalizeGma(Ctx, G).Text;
+    for (int V = 0; V < 4; ++V) {
+      std::unordered_map<ir::TermId, ir::TermId> Memo;
+      std::function<ir::TermId(ir::TermId)> Vary = [&](ir::TermId T) {
+        if (auto It = Memo.find(T); It != Memo.end())
+          return It->second;
+        const ir::TermNode N = Ctx.Terms.node(T);
+        ir::TermId Out = T;
+        if (Ctx.Ops.isVariable(N.Op)) {
+          const std::string &Name = Ctx.Ops.info(N.Op).Name;
+          if (Name != "M") // M marks the memory target.
+            Out = Ctx.Terms.makeVar(strFormat("%s_s%zu_v%d", Name.c_str(), S,
+                                              V));
+        } else if (!N.Children.empty()) {
+          std::vector<ir::TermId> Kids;
+          for (ir::TermId C : N.Children)
+            Kids.push_back(Vary(C));
+          if (Ctx.Ops.info(N.Op).Commutative && Rng() % 2 &&
+              shapeString(Ctx, N.Children[0]) !=
+                  shapeString(Ctx, N.Children[1])) {
+            std::swap(Kids[0], Kids[1]);
+            ++Swaps;
+          }
+          Out = Ctx.Terms.make(N.Op, Kids);
+        }
+        return Memo[T] = Out;
+      };
+      gma::GMA Variant = G;
+      Variant.Name = strFormat("variant%d", V);
+      for (ir::TermId &T : Variant.NewVals)
+        T = Vary(T);
+      if (Variant.Guard)
+        Variant.Guard = Vary(*Variant.Guard);
+      for (ir::TermId &T : Variant.MissAddrs)
+        T = Vary(T);
+      EXPECT_EQ(canonicalizeGma(Ctx, Variant).Text, Want)
+          << verify::printGma(Ctx, G) << "\n"
+          << verify::printGma(Ctx, Variant);
+    }
+  }
+  EXPECT_GT(Swaps, 100u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -448,6 +567,59 @@ TEST(ServerTest, BulkParseErrorsReportedInPlace) {
   EXPECT_TRUE(Rs[2].Result.ok());
   EXPECT_EQ(Rs[2].Source, ResultSource::CacheHit);
   EXPECT_EQ(Server.stats().ParseErrors, 1u);
+}
+
+TEST(ServerTest, ParseErrorsCarryTheReaderText) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  CompileServer Server(SO);
+  for (const auto &[File, Want] : MalformedGmaSeeds) {
+    ServerResponse R = Server.compileText(readMalformedGmaSeed(File));
+    EXPECT_EQ(R.Result.Error, std::string("parse: ") + Want) << File;
+    EXPECT_TRUE(R.Result.Gma.Name.empty()) << File;
+  }
+  EXPECT_EQ(Server.stats().ParseErrors, std::size(MalformedGmaSeeds));
+}
+
+// One client keeps sending requests with fresh variable names, so its
+// parses keep appending to the term and operator tables, while another
+// client's requests are served from the cache and compiled cold. Those
+// read the tables outside the front-end lock (canonicalization, the
+// e-graph, the search); the tables must not move what they read. The
+// TSan copy of this test (server_tests_tsan) is the race gate.
+TEST(ServerTest, FreshNamesGrowTheTablesWhileOthersCompile) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 2;
+  CompileServer Server(SO);
+  std::atomic<bool> Failed{false};
+  std::thread Namer([&] {
+    for (int I = 0; I < 400; ++I) {
+      ServerResponse R = Server.compileText(
+          strFormat("(gma fresh%d (assign r (add64 x%d (xor64 y%d %d))))", I,
+                    I, I, I % 3));
+      Failed = Failed || !R.Result.ok();
+    }
+  });
+  std::thread Mixer([&] {
+    for (int I = 0; I < 12; ++I) {
+      ServerResponse Cold = Server.compileText(
+          strFormat("(gma cold%d (assign r (sub64 a %d)))", I, 1000 + I));
+      ServerResponse Hit =
+          Server.compileText("(gma hot (assign r (sub64 a 1000)))");
+      Failed = Failed || !Cold.Result.ok() || !Hit.Result.ok();
+    }
+  });
+  Namer.join();
+  Mixer.join();
+  EXPECT_FALSE(Failed);
+  // Three skeletons from the namer and twelve from the mixer compile cold;
+  // everything else is a hit.
+  ServerStats St = Server.stats();
+  EXPECT_EQ(St.Requests, 400u + 24u);
+  EXPECT_EQ(St.ColdCompiles, 3u + 12u);
+  EXPECT_EQ(St.CacheServes, 424u - 15u);
 }
 
 TEST(ServerTest, ServeAnswersInOrderAndHandlesVerbs) {
