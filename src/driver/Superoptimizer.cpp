@@ -63,7 +63,11 @@ Superoptimizer::Superoptimizer(Options O)
   }
 }
 
-std::string denali::driver::matchOptionsFingerprint(const Options &Opts) {
+namespace {
+
+/// Every option that shapes saturation; profileLedgerKey() masks the
+/// adaptive switch out of it.
+std::string matchOptionsFingerprint(const Options &Opts) {
   const match::MatchLimits &M = Opts.Matching;
   std::string F = strFormat(
       "guard=%d;prov=%d;rounds=%u;nodes=%zu;inst=%zu;budget=%llu;"
@@ -85,6 +89,8 @@ std::string denali::driver::matchOptionsFingerprint(const Options &Opts) {
   }
   return F;
 }
+
+} // namespace
 
 std::string denali::driver::profileLedgerKey(const Options &Opts) {
   Options Masked = Opts;

@@ -88,21 +88,16 @@ struct Options {
   bool MatchAdaptive = false;
 };
 
-/// Fingerprint of every driver option that influences saturation and the
-/// resulting SaturatedGma (match limits, universe knobs, guard
-/// enforcement, provenance mode). The compile server's cache keys
-/// (server::matchFingerprint) delegate here; the ledger's graph keys are
-/// derived from it.
-std::string matchOptionsFingerprint(const Options &Opts);
-
 /// Checks \p Name against the machine registry, with the built-in backends
 /// registered. \returns the command-line diagnostic for an unknown name,
 /// "unknown machine 'vax' (known: alpha, rv64)", or std::nullopt.
 std::optional<std::string> checkMachineName(const std::string &Name);
 
-/// The profile ledger's graph key for \p Opts: matchOptionsFingerprint
-/// with the adaptive bit masked out, so the cold profiling runs that
-/// build a ledger and the adaptive runs it later warms share one row set.
+/// The profile ledger's graph key for \p Opts: a fingerprint of every
+/// option that shapes saturation (match limits, universe knobs, guard
+/// enforcement, provenance mode), but not of the adaptive switch, so the
+/// cold profiling runs that build a ledger and the adaptive runs it later
+/// warms share one row set.
 std::string profileLedgerKey(const Options &Opts);
 
 /// The result of compiling one GMA.
@@ -140,8 +135,9 @@ struct CompileResult {
 /// universe construction and budget search. Produced by saturateGMA(),
 /// consumed by compileSaturated(). The graph is path-compressed on
 /// return, so every subsequent const query is a pure read: one
-/// SaturatedGma may serve many concurrent compileSaturated() calls (the
-/// compile server's warm-graph memo relies on exactly this).
+/// SaturatedGma may serve many concurrent compileSaturated() calls
+/// (ServerTest.SaturateOnceCompileManyConcurrently), and a test may
+/// saturate once and search many times.
 struct SaturatedGma {
   std::shared_ptr<const egraph::EGraph> Graph;
   /// Goal targets (names from the saturating GMA) with classes already
@@ -193,9 +189,7 @@ public:
   /// ladder (+ dump/explain artifacts) against an already-saturated
   /// graph. \p G names the request being served: the GmaResult carries it,
   /// but the emitted program's input/output names come from the GMA that
-  /// produced \p S (identical when called via compileGMA; the server
-  /// renames them when serving an alpha-variant request from a warm
-  /// graph).
+  /// produced \p S (identical when called via compileGMA).
   GmaResult compileSaturated(const SaturatedGma &S, const gma::GMA &G) const;
 
   /// Superoptimizes a bare vector of goal terms (library entry point for

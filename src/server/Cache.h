@@ -1,11 +1,11 @@
 //===- server/Cache.h - Sharded LRU maps for the compile server -*- C++ -*-===//
 ///
 /// \file
-/// A byte-capped, sharded LRU map from Key128 to shared immutable values,
-/// used for both the canonical-GMA result cache and the saturated-e-graph
-/// memo. Shards are independent (key's high bits pick the shard), each
-/// with its own mutex, intrusive LRU list, and byte budget — so
-/// concurrent requests only contend when they land on the same shard.
+/// A byte-capped, sharded LRU map from Key128 to shared immutable values:
+/// the compile server's canonical-GMA result cache. Shards are
+/// independent (key's high bits pick the shard), each with its own mutex,
+/// intrusive LRU list, and byte budget — so concurrent requests only
+/// contend when they land on the same shard.
 ///
 /// Hit/miss/insert/evict counts are published both as obs counters
 /// (`<prefix>.hit` etc., visible in --metrics-out summaries) and as plain

@@ -2,8 +2,6 @@
 
 #include "server/Canon.h"
 
-#include "support/StringExtras.h"
-
 #include <cassert>
 #include <charconv>
 
@@ -163,15 +161,6 @@ CanonicalGma denali::server::canonicalizeGma(const ir::Context &Ctx,
 
 namespace {
 
-/// Two independent FNV-1a streams with distinct offset bases.
-void feed(uint64_t &A, uint64_t &B, std::string_view S) {
-  for (unsigned char Ch : S) {
-    A = (A ^ Ch) * 0x100000001b3ULL;
-    B = (B ^ Ch) * 0x100000001b3ULL;
-    B += B << 7;
-  }
-}
-
 /// The splitmix64 finalizer.
 uint64_t mix(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
@@ -182,42 +171,15 @@ uint64_t mix(uint64_t X) {
 
 } // namespace
 
-KeySeed::KeySeed(std::string_view Fingerprint) {
-  feed(A, B, Fingerprint);
-  feed(A, B, "\x1f"); // Separator: fingerprint and text cannot bleed.
-}
-
-Key128 KeySeed::key(std::string_view CanonText) const {
-  // Collisions are tolerable (lookups exact-compare the canonical text);
-  // the key only has to spread well across shards.
-  uint64_t KA = A, KB = B;
-  feed(KA, KB, CanonText);
-  return Key128{mix(KA), mix(KB)};
-}
-
-Key128 denali::server::makeKey(std::string_view CanonText,
-                               std::string_view Fingerprint) {
-  return KeySeed(Fingerprint).key(CanonText);
-}
-
-std::string denali::server::matchFingerprint(const driver::Options &Opts) {
-  // The fingerprint logic lives in the driver (the profile ledger keys
-  // off the same identity and src/obs cannot see src/server); the server
-  // keeps this alias so its cache-key derivation reads locally.
-  return driver::matchOptionsFingerprint(Opts);
-}
-
-std::string denali::server::resultFingerprint(const driver::Options &Opts) {
-  const codegen::SearchOptions &S = Opts.Search;
-  return matchFingerprint(Opts) +
-         strFormat("|fresh=%d;min=%u;max=%u;confl=%llu;"
-                   "cnf=%s;cert=%d;xunsat=%d;amo=%d;single=%d;"
-                   "explain=%d;dump=%d;why=%d",
-                   S.FreshPerK ? 1 : 0, S.MinCycles, S.MaxCycles,
-                   (unsigned long long)S.ConflictBudget,
-                   S.DumpCnfDir.c_str(), S.CertifyRefutations ? 1 : 0,
-                   S.ExplainUnsat ? 1 : 0,
-                   static_cast<int>(S.Encoding.AmoStyle),
-                   S.Encoding.SingleCluster ? 1 : 0, Opts.Explain ? 1 : 0,
-                   Opts.EGraphDump ? 1 : 0, Opts.WhyUnsat ? 1 : 0);
+Key128 denali::server::makeKey(std::string_view CanonText) {
+  // Two independent FNV-1a streams with distinct offset bases. Collisions
+  // are tolerable (lookups exact-compare the canonical text); the key
+  // only has to spread well across shards.
+  uint64_t A = 0xcbf29ce484222325ULL, B = 0x84222325cbf29ce4ULL;
+  for (unsigned char Ch : CanonText) {
+    A = (A ^ Ch) * 0x100000001b3ULL;
+    B = (B ^ Ch) * 0x100000001b3ULL;
+    B += B << 7;
+  }
+  return Key128{mix(A), mix(B)};
 }

@@ -4,8 +4,8 @@
 /// Canonicalization of GMAs into stable cache keys. Two requests that
 /// differ only in variable names, GMA/source names, or the argument order
 /// of commutative builtins canonicalize to the same text, so a compiled
-/// result (or a saturated e-graph) produced for one can be served to the
-/// other after a pure renaming.
+/// result produced for one can be served to the other after a pure
+/// renaming.
 ///
 /// The canonical form is derived without interning anything: it reads the
 /// shape hashes the term table memoized at interning, so canonicalizing a
@@ -13,19 +13,18 @@
 /// concurrently with compiles and with another request's parse.
 ///
 /// Key derivation (documented in DESIGN.md §7):
-///   key = hash128(options fingerprint ‖ canonical text)
+///   key = hash128(canonical text)
 /// and every cache entry stores the canonical text, which is compared
 /// exactly on lookup — the 128-bit hash only routes to a shard/bucket, so
-/// a hash collision can never serve a wrong result. The fingerprint comes
-/// first so that a server, whose options never change, hashes it once
-/// (KeySeed) and each request hashes only its text.
+/// a hash collision can never serve a wrong result. No options fingerprint
+/// enters the key: a cache belongs to one server, whose options never
+/// change.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DENALI_SERVER_CANON_H
 #define DENALI_SERVER_CANON_H
 
-#include "driver/Superoptimizer.h"
 #include "gma/GMA.h"
 #include "ir/Term.h"
 
@@ -80,37 +79,8 @@ struct CanonicalGma {
 /// Canonicalizes \p G. Pure read on \p Ctx (no interning).
 CanonicalGma canonicalizeGma(const ir::Context &Ctx, const gma::GMA &G);
 
-/// An options fingerprint, hashed: key(Text) == makeKey(Text, Fingerprint).
-class KeySeed {
-public:
-  explicit KeySeed(std::string_view Fingerprint);
-  Key128 key(std::string_view CanonText) const;
-
-private:
-  uint64_t A = 0xcbf29ce484222325ULL;
-  uint64_t B = 0x84222325cbf29ce4ULL;
-};
-
-/// Hashes options fingerprint + canonical text into a 128-bit key.
-Key128 makeKey(std::string_view CanonText, std::string_view Fingerprint);
-
-/// Fingerprint of every driver option that influences saturation and the
-/// resulting SaturatedGma (match limits, universe knobs, guard
-/// enforcement, provenance mode, adaptive scheduling). Requests
-/// agreeing on this — and on canonical text — may share one warm e-graph.
-/// Delegates to driver::matchOptionsFingerprint, which also keys the profile
-/// ledger (with the adaptive bit masked; see driver::profileLedgerKey).
-std::string matchFingerprint(const driver::Options &Opts);
-
-/// Fingerprint of every option that influences the full GmaResult: the
-/// match fingerprint plus the search's budget/encoding knobs (FreshPerK
-/// included: the reference may return a different program at the same K)
-/// and the artifact switches (Explain, EGraphDump, WhyUnsat). Requests
-/// agreeing on this — and on canonical text — may share one cached result.
-/// Changing any Options field therefore invalidates by construction: the
-/// fingerprint (hence the key) changes and old entries become
-/// unreachable.
-std::string resultFingerprint(const driver::Options &Opts);
+/// Hashes a canonical text into a 128-bit key.
+Key128 makeKey(std::string_view CanonText);
 
 } // namespace server
 } // namespace denali

@@ -22,8 +22,6 @@ const char *denali::server::resultSourceName(ResultSource S) {
   switch (S) {
   case ResultSource::Cold:
     return "cold";
-  case ResultSource::WarmGraph:
-    return "warm";
   case ResultSource::CacheHit:
     return "hit";
   }
@@ -95,17 +93,10 @@ driver::GmaResult denali::server::renameResult(const driver::GmaResult &Cached,
 
 CompileServer::CompileServer(ServerOptions Opts)
     : SOpts(Opts), Opt(Opts.Pipeline),
-      ResultKeys(resultFingerprint(Opt.options())),
-      GraphKeys(matchFingerprint(Opt.options())),
       Pool(Opts.Threads == 0 ? 1 : Opts.Threads),
       Results(Opts.CacheBytes, "server.cache"),
-      // --cache-bytes 0 is the "no acceleration at all" switch: it turns
-      // the warm-graph memo off too, so every request runs the unmodified
-      // driver pipeline.
-      Graphs(Opts.CacheBytes == 0 ? 0 : Opts.WarmGraphs, "server.memo"),
       WinAll(obs::Registry::global().windowed("server.win.request.us")),
       WinCold(obs::Registry::global().windowed("server.win.request.cold.us")),
-      WinWarm(obs::Registry::global().windowed("server.win.request.warm.us")),
       WinHit(obs::Registry::global().windowed("server.win.request.hit.us")),
       InFlightGauge(obs::Registry::global().gauge("server.inflight")),
       InFlightMaxGauge(obs::Registry::global().gauge("server.inflight.max")),
@@ -140,18 +131,6 @@ CompileServer::~CompileServer() {
   Flusher.stop();
 }
 
-ServerResponse CompileServer::serveCached(const CachedResult &Hit,
-                                          const gma::GMA &G,
-                                          const CanonicalGma &C,
-                                          double Seconds) {
-  CacheServes.fetch_add(1, std::memory_order_relaxed);
-  ServerResponse R;
-  R.Result = renameResult(Hit.Result, Hit.Canon, G, C);
-  R.Source = ResultSource::CacheHit;
-  R.Seconds = Seconds;
-  return R;
-}
-
 ServerResponse CompileServer::compileGma(const gma::GMA &G) {
   // Every request gets a process-unique id; all spans recorded under the
   // scope (parse happened earlier, but canonicalize, cache probes,
@@ -184,9 +163,6 @@ void CompileServer::noteRequestDone(const ServerResponse &R, uint64_t Req,
   case ResultSource::Cold:
     WinCold.record(Us);
     break;
-  case ResultSource::WarmGraph:
-    WinWarm.record(Us);
-    break;
   case ResultSource::CacheHit:
     WinHit.record(Us);
     break;
@@ -217,47 +193,24 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
 
   // Canonicalization is a pure read on the shared Context; no lock.
   CanonicalGma C = canonicalizeGma(Opt.context(), G);
-  Key128 RKey = ResultKeys.key(C.Text);
+  Key128 Key = makeKey(C.Text);
 
-  // Tier 1: result cache.
-  if (std::shared_ptr<const CachedResult> Hit = Results.get(RKey, C.Text)) {
-    ServerResponse R = serveCached(*Hit, G, C, 0);
+  if (std::shared_ptr<const CachedResult> Hit = Results.get(Key, C.Text)) {
+    CacheServes.fetch_add(1, std::memory_order_relaxed);
+    ServerResponse R;
+    R.Result = renameResult(Hit->Result, Hit->Canon, G, C);
+    R.Source = ResultSource::CacheHit;
     R.Seconds = T.seconds();
     if (Span.active())
       Span.arg("source", "hit");
     return R;
   }
 
-  // Tier 2: warm saturated graph. The shared_ptr we hold keeps the graph
-  // alive even if the memo evicts the entry mid-compile.
-  Key128 GKey = GraphKeys.key(C.Text);
-  if (std::shared_ptr<const CachedGraph> Warm = Graphs.get(GKey, C.Text)) {
-    WarmCompiles.fetch_add(1, std::memory_order_relaxed);
-    driver::GmaResult R = Opt.compileSaturated(Warm->Saturated, G);
-    // Cache in the *producer's* name space, with the producer's renaming,
-    // so later hits compose names exactly like this one did.
-    Results.put(RKey, C.Text,
-                std::make_shared<CachedResult>(CachedResult{R, Warm->Canon}),
-                approxResultBytes(R, Warm->Canon));
-    ServerResponse Out;
-    Out.Result = renameResult(R, Warm->Canon, G, C);
-    Out.Source = ResultSource::WarmGraph;
-    Out.Seconds = T.seconds();
-    if (Span.active())
-      Span.arg("source", "warm");
-    return Out;
-  }
-
-  // Tier 3: cold compile; populate both tiers.
+  // Cold compile. Two requests that miss on one text at once both compile;
+  // the cache keeps whichever result is put first.
   ColdCompiles.fetch_add(1, std::memory_order_relaxed);
-  driver::SaturatedGma S = Opt.saturateGMA(G);
-  driver::GmaResult R = Opt.compileSaturated(S, G);
-  if (S.ok())
-    Graphs.put(GKey, C.Text,
-               std::make_shared<CachedGraph>(CachedGraph{std::move(S), C}),
-               1);
-  Results.put(RKey, C.Text,
-              std::make_shared<CachedResult>(CachedResult{R, C}),
+  driver::GmaResult R = Opt.compileGMA(G);
+  Results.put(Key, C.Text, std::make_shared<CachedResult>(CachedResult{R, C}),
               approxResultBytes(R, C));
   ServerResponse Out;
   Out.Result = std::move(R);
@@ -318,9 +271,9 @@ CompileServer::compileBulk(const std::vector<std::string> &Texts) {
   }
 
   // Group same-skeleton requests so each canonical goal skeleton is
-  // saturated once: the group's first request (the leader) compiles and
-  // fills the tiers, followers are then served warm/from cache. With
-  // caching off every member compiles cold — the pre-server behavior.
+  // compiled once: the group's first request (the leader) compiles and
+  // fills the cache, followers are then served from it. With caching off
+  // every member compiles cold — the pre-server behavior.
   std::unordered_map<std::string, std::vector<size_t>> Groups;
   std::vector<std::string> GroupOrder;
   for (size_t I = 0; I < Reqs.size(); ++I) {
@@ -357,9 +310,8 @@ CompileServer::compileBulk(const std::vector<std::string> &Texts) {
   return Responses;
 }
 
-namespace {
-
-std::string formatResponse(const ServerResponse &R, bool PrintProgram) {
+std::string denali::server::formatResponse(const ServerResponse &R,
+                                           bool PrintProgram) {
   if (!R.Result.Error.empty())
     return "(error \"" + obs::jsonEscape(R.Result.Error) + "\")";
   std::string Name =
@@ -374,6 +326,8 @@ std::string formatResponse(const ServerResponse &R, bool PrintProgram) {
         "\"";
   return Line + ")";
 }
+
+namespace {
 
 /// Paren balance of \p Line, for accumulating multi-line forms. The wire
 /// syntax has no string atoms on the request side, so raw counting works.
@@ -403,6 +357,25 @@ bool isForm(const std::string &Buf, const char *Verb) {
 
 } // namespace
 
+bool denali::server::readForm(std::istream &In, std::string &Form) {
+  Form.clear();
+  int Depth = 0;
+  for (std::string Line; std::getline(In, Line);) {
+    if (Form.empty()) {
+      size_t I = Line.find_first_not_of(" \t\r");
+      if (I == std::string::npos || Line[I] == ';')
+        continue; // Blank or comment between forms.
+    } else {
+      Form += '\n';
+    }
+    Form += Line;
+    Depth += parenDelta(Line);
+    if (Depth <= 0)
+      return true;
+  }
+  return !Form.empty(); // Left open by EOF: its reader reports that.
+}
+
 int CompileServer::serve(std::istream &In, std::ostream &Out) {
   int Failures = 0;
   std::deque<std::future<std::string>> Pending;
@@ -422,24 +395,10 @@ int CompileServer::serve(std::istream &In, std::ostream &Out) {
     QueueDepthGauge.set(static_cast<int64_t>(Pending.size()));
   };
 
-  std::string Buf, Line;
-  int Depth = 0;
-  bool Quit = false;
-  while (!Quit && std::getline(In, Line)) {
-    if (Buf.empty() && Line.find_first_not_of(" \t\r") == std::string::npos)
-      continue;
-    if (!Buf.empty())
-      Buf += "\n";
-    Buf += Line;
-    Depth += parenDelta(Line);
-    if (Depth > 0)
-      continue; // Form still open; keep accumulating.
-    Depth = 0;
-    std::string Form;
-    Form.swap(Buf);
-    if (isForm(Form, "quit")) {
-      Quit = true;
-    } else if (isForm(Form, "stats")) {
+  for (std::string Form; readForm(In, Form);) {
+    if (isForm(Form, "quit"))
+      break;
+    if (isForm(Form, "stats")) {
       // Keep strict request ordering: drain compiles first.
       Flush(true);
       Out << statsText() << "\n" << std::flush;
@@ -465,27 +424,22 @@ ServerStats CompileServer::stats() const {
   St.Requests = Requests.load(std::memory_order_relaxed);
   St.ParseErrors = ParseErrors.load(std::memory_order_relaxed);
   St.ColdCompiles = ColdCompiles.load(std::memory_order_relaxed);
-  St.WarmCompiles = WarmCompiles.load(std::memory_order_relaxed);
   St.CacheServes = CacheServes.load(std::memory_order_relaxed);
   St.SlowRequests = SlowRequests.load(std::memory_order_relaxed);
   St.InFlight = InFlight.load(std::memory_order_relaxed);
   St.ResultCache = Results.stats();
-  St.GraphMemo = Graphs.stats();
   return St;
 }
 
 std::string CompileServer::statsText() const {
   ServerStats St = stats();
   return strFormat(
-      "(stats :requests %llu :parse-errors %llu :cold %llu :warm %llu "
-      ":hits %llu :cache-entries %zu :cache-bytes %zu :cache-evictions %llu "
-      ":memo-entries %zu :memo-evictions %llu)",
+      "(stats :requests %llu :parse-errors %llu :cold %llu :hits %llu "
+      ":cache-entries %zu :cache-bytes %zu :cache-evictions %llu)",
       (unsigned long long)St.Requests, (unsigned long long)St.ParseErrors,
       (unsigned long long)St.ColdCompiles,
-      (unsigned long long)St.WarmCompiles,
       (unsigned long long)St.CacheServes, St.ResultCache.Entries,
-      St.ResultCache.Bytes, (unsigned long long)St.ResultCache.Evictions,
-      St.GraphMemo.Entries, (unsigned long long)St.GraphMemo.Evictions);
+      St.ResultCache.Bytes, (unsigned long long)St.ResultCache.Evictions);
 }
 
 std::string CompileServer::statsFullText() const {
@@ -501,20 +455,17 @@ std::string CompileServer::statsFullText() const {
         (unsigned long long)S.percentile(0.99), (unsigned long long)S.Max);
   };
   std::string Out = strFormat(
-      "(stats-full :requests %llu :parse-errors %llu :cold %llu :warm %llu "
-      ":hits %llu :slow %llu :inflight %lld :queue-depth %lld "
-      ":cache-entries %zu :cache-bytes %zu :memo-entries %zu :window-s %.0f",
+      "(stats-full :requests %llu :parse-errors %llu :cold %llu :hits %llu "
+      ":slow %llu :inflight %lld :queue-depth %lld :cache-entries %zu "
+      ":cache-bytes %zu :window-s %.0f",
       (unsigned long long)St.Requests, (unsigned long long)St.ParseErrors,
       (unsigned long long)St.ColdCompiles,
-      (unsigned long long)St.WarmCompiles,
       (unsigned long long)St.CacheServes,
       (unsigned long long)St.SlowRequests, (long long)St.InFlight,
       (long long)QueueDepthGauge.get(), St.ResultCache.Entries,
-      St.ResultCache.Bytes, St.GraphMemo.Entries,
-      static_cast<double>(WinAll.windowNs()) / 1e9);
+      St.ResultCache.Bytes, static_cast<double>(WinAll.windowNs()) / 1e9);
   Out += Lat("all", WinAll);
   Out += Lat("cold", WinCold);
-  Out += Lat("warm", WinWarm);
   Out += Lat("hit", WinHit);
   // Top-5 axioms by accumulated self-time, from the saturation profiler's
   // live match.axiom.<id>.* counter family (empty until a cold compile

@@ -3,22 +3,14 @@
 /// \file
 /// Denali as a service: a long-lived CompileServer that accepts many GMA
 /// compile requests concurrently on a support::ThreadPool and answers
-/// them through three accelerating tiers:
+/// each one from one of two tiers:
 ///
 ///   1. **Result cache** — canonical-GMA -> GmaResult (sharded LRU under
 ///      a --cache-bytes cap). An alpha-renamed / operand-commuted /
 ///      source-renamed duplicate of any previously compiled GMA is served
 ///      by a pure renaming of the cached program: no e-graph, no SAT.
-///   2. **Warm-graph memo** — canonical goal skeleton -> SaturatedGma.
-///      A request that matches a warm entry (same canonical text and
-///      match-relevant options, but e.g. different search budgets) skips
-///      saturation entirely and reuses the frozen path-compressed e-graph
-///      snapshot for universe construction + the SAT ladder. The snapshot
-///      is shared, not cloned: after compressPaths() every const query is
-///      a pure read, so any number of concurrent requests may compile
-///      against one graph.
-///   3. **Cold compile** — the ordinary driver pipeline, after which both
-///      tiers are populated.
+///   2. **Cold compile** — the ordinary driver pipeline
+///      (Superoptimizer::compileGMA), after which the result is cached.
 ///
 /// Concurrency model: compiles are read-only on the shared ir::Context
 /// (the driver interns every term at parse/translate time), so they run
@@ -30,11 +22,11 @@
 ///
 /// Wire protocol (line-oriented s-exprs; see serve()):
 ///   -> (gma <name> (assign t <term>) ...)       compile one GMA
-///   -> (stats)                                  cache/memo counters
+///   -> (stats)                                  tier and cache counters
 ///   -> (stats-full)                             + live latency windows
 ///   -> (quit)                                   shut down
-///   <- (ok <name> :cycles N :source cold|warm|hit :program "...")
-///   <- (error "message")
+///   <- (ok <name> :cycles N :source cold|hit :seconds S [:program "..."])
+///   <- (error "message")                        (see formatResponse())
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,18 +50,14 @@ namespace server {
 
 struct ServerOptions {
   /// Pipeline configuration for the embedded Superoptimizer. Fixed for
-  /// the server's lifetime; both cache keys fingerprint it (once, at
-  /// construction), so entries can never leak across configurations.
+  /// the server's lifetime, so the cache, which belongs to this server
+  /// alone, never holds a result of other options.
   driver::Options Pipeline;
   /// Worker threads compiling requests concurrently.
   unsigned Threads = 2;
-  /// Result-cache capacity in bytes. 0 disables result caching AND the
-  /// warm-graph memo — every request compiles cold, byte-for-byte the
-  /// pre-server driver behavior.
+  /// Result-cache capacity in bytes. 0 disables the cache — every
+  /// request compiles cold, byte-for-byte the pre-server driver behavior.
   size_t CacheBytes = size_t(64) << 20;
-  /// Warm-graph memo capacity in entries (saturated e-graphs are large;
-  /// they are capped by count, not bytes). 0 disables the memo.
-  size_t WarmGraphs = 64;
   /// Attach the emitted program text to protocol responses.
   bool PrintPrograms = false;
   /// Always-on telemetry: per-request ids + spans, sliding-window latency
@@ -89,7 +77,7 @@ struct ServerOptions {
 };
 
 /// Which tier answered a request.
-enum class ResultSource { Cold, WarmGraph, CacheHit };
+enum class ResultSource { Cold, CacheHit };
 
 const char *resultSourceName(ResultSource S);
 
@@ -99,17 +87,19 @@ struct ServerResponse {
   double Seconds = 0; ///< Wall time inside the server for this request.
 };
 
-/// Aggregate server statistics (see also CacheStats per tier).
+/// Aggregate server statistics.
 struct ServerStats {
   uint64_t Requests = 0;
   uint64_t ParseErrors = 0;
   uint64_t ColdCompiles = 0;
+  /// Always 0: the tier that counted here, a memo of saturated e-graphs,
+  /// is gone. Kept because the pipeline benchmark (bench_pipeline) reads
+  /// it; it goes with the next change to that benchmark.
   uint64_t WarmCompiles = 0;
   uint64_t CacheServes = 0;
   uint64_t SlowRequests = 0;
   int64_t InFlight = 0;
   CacheStats ResultCache;
-  CacheStats GraphMemo;
 };
 
 class CompileServer {
@@ -121,8 +111,8 @@ public:
   const driver::Superoptimizer &opt() const { return Opt; }
   const ServerOptions &options() const { return SOpts; }
 
-  /// Compiles one pre-interned GMA through the cache tiers. Thread-safe;
-  /// this is the per-request worker body.
+  /// Compiles one pre-interned GMA: a cache hit, else a cold compile.
+  /// Thread-safe; this is the per-request worker body.
   ServerResponse compileGma(const gma::GMA &G);
 
   /// Parses (serialized behind the front-end mutex) then compiles.
@@ -131,9 +121,9 @@ public:
   ServerResponse compileText(const std::string &Text);
 
   /// Bulk mode: compiles a batch of GMA texts, grouping same-skeleton
-  /// requests so each canonical goal skeleton is saturated exactly once
-  /// (the batch's leader compiles; followers are served from the tiers
-  /// it fills). Responses are returned in input order. Parsing is
+  /// requests so each canonical goal skeleton is compiled exactly once
+  /// (the group's leader compiles; followers are served from the cache
+  /// entry it fills). Responses are returned in input order. Parsing is
   /// serialized; group leaders run concurrently on the pool.
   std::vector<ServerResponse> compileBulk(const std::vector<std::string> &Texts);
 
@@ -160,14 +150,9 @@ private:
     driver::GmaResult Result; ///< In the producing request's name space.
     CanonicalGma Canon;       ///< The producing request's renaming.
   };
-  struct CachedGraph {
-    driver::SaturatedGma Saturated;
-    CanonicalGma Canon; ///< The saturating request's renaming.
-  };
 
-  ServerResponse serveCached(const CachedResult &Hit, const gma::GMA &G,
-                             const CanonicalGma &C, double Seconds);
-  /// The tiered compile body, run under the request's RequestScope.
+  /// The compile body (cache, else cold), run under the request's
+  /// RequestScope.
   ServerResponse compileGmaTiered(const gma::GMA &G, uint64_t Req);
   /// Records per-request telemetry (windowed latencies, slow-request log)
   /// once the request's scope has closed.
@@ -176,24 +161,32 @@ private:
 
   ServerOptions SOpts;
   driver::Superoptimizer Opt;
-  /// The result and match fingerprints of Opt's options, formatted and
-  /// hashed once: a server's options never change, so a request hashes
-  /// only its canonical text.
-  const KeySeed ResultKeys, GraphKeys;
   support::ThreadPool Pool;
   std::mutex FrontEndMu; ///< Serializes interning (parse) on Opt's Context.
   ShardedLruCache<CachedResult> Results;
-  ShardedLruCache<CachedGraph> Graphs;
   std::atomic<uint64_t> Requests{0}, ParseErrors{0}, ColdCompiles{0},
-      WarmCompiles{0}, CacheServes{0}, SlowRequests{0};
+      CacheServes{0}, SlowRequests{0};
   std::atomic<int64_t> InFlight{0};
   // Cached metric handles: registry references are stable for the process
   // lifetime, so the per-request hot path never takes the registry mutex.
-  obs::WindowedHistogram &WinAll, &WinCold, &WinWarm, &WinHit;
+  obs::WindowedHistogram &WinAll, &WinCold, &WinHit;
   obs::Gauge &InFlightGauge, &InFlightMaxGauge, &QueueDepthGauge;
   obs::Counter &RequestCounter, &ParseErrorCounter, &SlowCounter;
   obs::MetricsFlusher Flusher;
 };
+
+/// The protocol's answer line for \p R, without a newline:
+/// `(ok <name> :cycles N :source cold|hit :seconds S)`, with
+/// ` :program "..."` before the ')' when \p PrintProgram, or
+/// `(error "message")`. Both serve() and `denali_server --bulk` print it.
+std::string formatResponse(const ServerResponse &R, bool PrintProgram);
+
+/// Reads the next request form from \p In as serve() does: lines
+/// accumulate until their parentheses balance (';' comments to the end of
+/// a line); blank and comment lines between forms are skipped, and a form
+/// EOF leaves open is returned for its reader to report. \returns false
+/// when no form is left. `denali_server --bulk` reads its file with it.
+bool readForm(std::istream &In, std::string &Form);
 
 /// Renames a cached result (in the \p From request's name space) into the
 /// \p To request's name space: program inputs via From.VarMap ∘ ToCanon

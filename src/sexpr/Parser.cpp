@@ -68,6 +68,14 @@ Token Lexer::next() {
     return T; // End.
   char C = Text[Pos];
   if (C == '(' || C == ')') {
+    if (C == ')') {
+      if (Depth > 0)
+        --Depth;
+    } else if (++Depth > MaxNesting) {
+      Error = strFormat("parentheses nested deeper than %u", MaxNesting);
+      Pos = Text.size(); // Line and Col stay at the parenthesis.
+      return T;          // End.
+    }
     T.TheKind = C == '(' ? Token::Kind::Open : Token::Kind::Close;
     ++Pos;
     ++Col;
@@ -94,7 +102,8 @@ namespace {
 
 /// Recursive-descent tree builder over the Lexer's tokens. The only
 /// per-token allocation is the std::string a *symbol* atom hands to
-/// SExpr::makeSymbol (integer atoms allocate nothing).
+/// SExpr::makeSymbol (integer atoms allocate nothing). The recursion is
+/// as deep as the parentheses, which the Lexer bounds (MaxNesting).
 class Reader {
 public:
   explicit Reader(std::string_view Text) : Lex(Text) {}
@@ -113,7 +122,9 @@ public:
 private:
   Lexer Lex;
 
-  static bool fail(ParseResult &Result, const Token &At, std::string Msg) {
+  bool fail(ParseResult &Result, const Token &At, std::string Msg) const {
+    if (!Lex.error().empty())
+      Msg = Lex.error();
     Result.Error = ParseError{std::move(Msg), At.Line, At.Col};
     return false;
   }

@@ -24,6 +24,16 @@
 namespace denali {
 namespace sexpr {
 
+/// The deepest nesting of parentheses that a reader built on the Lexer
+/// below accepts (parse() here, which the language front end and axiom
+/// files go through, and the compile server's verify::parseGma). A deeper
+/// opening parenthesis is a parse error at its line and column, so no
+/// later stage sees a deeper term, and those that recurse on a term's
+/// depth (canonicalization, printing) stay within their stack. The
+/// deepest paper kernel, checksum.dnl, nests 23 parentheses in its source
+/// and 12 in its deepest GMA as printGma spells it.
+inline constexpr unsigned MaxNesting = 1000;
+
 /// One token of the parenthesized syntax.
 struct Token {
   enum class Kind { Open, Close, Integer, Symbol, End };
@@ -52,10 +62,16 @@ class Lexer {
 public:
   explicit Lexer(std::string_view Text) : Text(Text) {}
 
-  /// The next token; End (repeatedly) once the input is exhausted.
+  /// The next token; End (repeatedly) once the input is exhausted. An
+  /// opening parenthesis nested deeper than MaxNesting ends the input
+  /// early: from it on every token is an End that sits at it, and
+  /// error() says why.
   Token next();
   /// Byte offset just past the last token returned.
   size_t offset() const { return Pos; }
+  /// Why the input ended early, or empty. A reader reports this, at the
+  /// End token's position, in place of the error it meant to report.
+  const std::string &error() const { return Error; }
 
 private:
   void skipTrivia();
@@ -64,6 +80,8 @@ private:
   size_t Pos = 0;
   unsigned Line = 1;
   unsigned Col = 1;
+  unsigned Depth = 0; ///< Parentheses open.
+  std::string Error;
 };
 
 /// A parse failure, with 1-based source position.

@@ -81,7 +81,9 @@ std::string renderForm(std::string_view Span) {
 /// A form's size is known only at its ')', so an operand's error is held
 /// until the enclosing form closes. Once a semantic error is held, the
 /// rest of the text is only scanned for syntax and nothing more is
-/// interned. Terms nest on an explicit stack, not the C++ stack.
+/// interned. Terms nest on an explicit stack, not the C++ stack, as deep
+/// as the Lexer lets parentheses nest (sexpr::MaxNesting): a deeper one
+/// ends the text there, and the syntax error reported is the Lexer's.
 class GmaReader {
 public:
   GmaReader(ir::Context &Ctx, std::string_view Text)
@@ -140,7 +142,9 @@ private:
 
   bool syntaxError(const Token &At, const char *Msg) {
     if (SyntaxErr.empty())
-      SyntaxErr = sexpr::ParseError{Msg, At.Line, At.Col}.toString();
+      SyntaxErr = sexpr::ParseError{Lex.error().empty() ? Msg : Lex.error(),
+                                    At.Line, At.Col}
+                      .toString();
     return false;
   }
 

@@ -8,13 +8,15 @@
 //   * when a text has several faults, the one reported is a tree walk's:
 //     syntax first, then the first failing check in pre-order, where a
 //     form's own checks (head, size, arity) beat its operands' errors;
-//   * accepted texts print back and re-read to the same terms.
+//   * accepted texts print back and re-read to the same terms;
+//   * parentheses nest at most sexpr::MaxNesting deep.
 //
 //===----------------------------------------------------------------------===//
 
 #include "MalformedGmaSeeds.h"
 
 #include "ir/Term.h"
+#include "sexpr/Parser.h"
 #include "verify/GmaText.h"
 
 #include <gtest/gtest.h>
@@ -175,18 +177,36 @@ TEST(GmaText, ParseTermKeepsItsErrors) {
   EXPECT_EQ(verify::printTerm(Ctx, *T), "(xor64 a 16)");
 }
 
-TEST(GmaText, DeepNestingIsReadWithoutRecursion) {
-  // Terms nest on the reader's own stack, so nesting depth is bounded by
-  // memory, not by the C++ stack.
-  const int Depth = 100000;
+/// A GMA whose parentheses nest \p Depth deep, the gma and assign forms
+/// included: (gma deep (assign r (not64 (not64 ... a)))).
+std::string nestedGma(unsigned Depth) {
   std::string Text = "(gma deep (assign r ";
-  for (int I = 0; I < Depth; ++I)
+  for (unsigned I = 2; I < Depth; ++I)
     Text += "(not64 ";
   Text += "a";
   Text.append(Depth, ')');
+  return Text;
+}
+
+TEST(GmaText, NestingIsBoundedByTheSharedLimit) {
+  // Terms nest on the reader's own stack; the limit is the Lexer's, so
+  // the reader stops at the first parenthesis past it, before reading or
+  // interning anything deeper, and names its line and column. Each
+  // "(not64 " is 7 characters and the first one is at column 21.
+  static_assert(sexpr::MaxNesting == 1000);
   ir::Context Ctx;
-  EXPECT_EQ(errorOf(Ctx, Text), "1:800022: unterminated list (missing ')')");
-  EXPECT_EQ(errorOf(Ctx, Text + "))"), "ok");
+  EXPECT_EQ(errorOf(Ctx, nestedGma(1000)), "ok");
+  const std::string TooDeep = "1:7007: parentheses nested deeper than 1000";
+  EXPECT_EQ(errorOf(Ctx, nestedGma(1001)), TooDeep);
+  // Only the text up to that parenthesis is read: a much deeper one, cut
+  // off unterminated, gets the same error.
+  EXPECT_EQ(errorOf(Ctx, nestedGma(100000).substr(0, 500000)), TooDeep);
+  // A syntax error before it still comes first.
+  EXPECT_EQ(errorOf(Ctx, ") " + nestedGma(1001)), "1:1: unexpected ')'");
+  // On a later line, the position is that line's.
+  EXPECT_EQ(errorOf(Ctx, "(gma deep\n (assign r " +
+                             nestedGma(1001).substr(20)),
+            "2:6998: parentheses nested deeper than 1000");
 }
 
 } // namespace

@@ -16,9 +16,7 @@
 //    extraction costs) while enumerating strictly fewer raw matches, and
 //    with an empty ledger is bit-identical to the default scheduler;
 //  * the ledger key (driver::profileLedgerKey) masks the adaptive bit, so
-//    profiling runs feed the adaptive runs they warm, while the server's
-//    cache fingerprint (driver::matchOptionsFingerprint) keeps them
-//    distinct.
+//    profiling runs feed the adaptive runs they warm.
 //
 //===----------------------------------------------------------------------===//
 
@@ -379,17 +377,14 @@ TEST(AdaptiveSchedule, NoHistoryIsBitIdenticalToDefaultScheduler) {
 }
 
 //===----------------------------------------------------------------------===
-// Driver wiring: fingerprints and ledger keys
+// Driver wiring: ledger keys
 //===----------------------------------------------------------------------===
 
-TEST(ProfileDriver, LedgerKeyMasksAdaptiveBitButFingerprintKeepsIt) {
+TEST(ProfileDriver, LedgerKeyMasksAdaptiveBit) {
   driver::Options A;
   driver::Options B = A;
   B.MatchAdaptive = true;
-  // The server memo must not share entries across scheduling modes...
-  EXPECT_NE(driver::matchOptionsFingerprint(A),
-            driver::matchOptionsFingerprint(B));
-  // ...but profiling runs and the adaptive runs they warm share rows.
+  // Profiling runs and the adaptive runs they warm share rows.
   EXPECT_EQ(driver::profileLedgerKey(A), driver::profileLedgerKey(B));
 
   driver::Options C = A;

@@ -1,6 +1,7 @@
 //===- tests/SExprTests.cpp - S-expression reader unit tests --------------===//
 
 #include "sexpr/Parser.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -123,4 +124,20 @@ TEST(SExprParser, DeepNesting) {
     Text += ")";
   ParseResult R = parseOne(Text);
   ASSERT_TRUE(R.ok());
+}
+
+TEST(SExprParser, NestingStopsPastTheLimit) {
+  std::string Text;
+  for (unsigned I = 0; I < MaxNesting; ++I)
+    Text += "(f ";
+  Text += "x";
+  Text.append(MaxNesting, ')');
+  EXPECT_TRUE(parseOne(Text).ok());
+  // The first parenthesis past the limit is the error, however deep the
+  // nesting goes on.
+  ParseResult R = parse(std::string(60000, '(') + Text);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Error->toString(),
+            strFormat("1:%u: parentheses nested deeper than %u",
+                      MaxNesting + 1, MaxNesting));
 }

@@ -2,15 +2,16 @@
 //
 // The server layer's contract, in four parts:
 //   * canonicalization: alpha-renamed / operand-commuted / source-renamed
-//     GMAs share one key; different structure never does; keys fold the
-//     options fingerprint in (invalidation on Options change);
+//     GMAs share one key; different structure never does;
 //   * cache serving: exact duplicates are bit-identical to their cold
 //     compile, alpha-variants are served by pure renaming and still pass
-//     differential verification, cache-off matches the plain driver;
+//     differential verification, cache-off matches the plain driver, and
+//     concurrent misses on one text leave one entry;
 //   * re-entrancy: one const Superoptimizer compiles distinct GMAs from
 //     several threads with results identical to sequential compiles;
 //   * protocol: bulk grouping hit counts are deterministic, and serve()
-//     answers every request line in order.
+//     answers every request line in order, a request nested too deep
+//     included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "server/Server.h"
 
 #include "obs/Obs.h"
+#include "sexpr/Parser.h"
 #include "support/StringExtras.h"
 #include "verify/GmaGen.h"
 #include "verify/GmaText.h"
@@ -65,8 +67,7 @@ TEST(CanonTest, AlphaRenameSameKeyAndText) {
   CanonicalGma CA = canonicalizeGma(Opt.context(), A);
   CanonicalGma CB = canonicalizeGma(Opt.context(), B);
   EXPECT_EQ(CA.Text, CB.Text);
-  std::string FP = resultFingerprint(Opt.options());
-  EXPECT_EQ(makeKey(CA.Text, FP), makeKey(CB.Text, FP));
+  EXPECT_EQ(makeKey(CA.Text), makeKey(CB.Text));
   // The renaming is recorded per request, in canonical first-use order
   // (the shape sort visits the (mul64 ? ?) operand before the bare
   // variable, so b/y lead).
@@ -104,8 +105,7 @@ TEST(CanonTest, DifferentStructureDifferentKey) {
   CanonicalGma CA = canonicalizeGma(Opt.context(), A);
   CanonicalGma CB = canonicalizeGma(Opt.context(), B);
   EXPECT_NE(CA.Text, CB.Text);
-  std::string FP = resultFingerprint(Opt.options());
-  EXPECT_NE(makeKey(CA.Text, FP), makeKey(CB.Text, FP));
+  EXPECT_NE(makeKey(CA.Text), makeKey(CB.Text));
   // (sub64 b a) IS alpha-equivalent to (sub64 a b) — swapping the names
   // is a renaming, not a commutation — so it must share B's skeleton.
   gma::GMA C = parse(Opt, "(gma f (assign r (sub64 b a)))");
@@ -119,24 +119,6 @@ TEST(CanonTest, DifferentStructureDifferentKey) {
   // Same-variable reuse is also structural, not nominal.
   gma::GMA F = parse(Opt, "(gma f (assign r (sub64 a a)))");
   EXPECT_NE(CB.Text, canonicalizeGma(Opt.context(), F).Text);
-}
-
-TEST(CanonTest, OptionsChangeInvalidatesResultKeyOnly) {
-  driver::Options O1 = smallOptions();
-  driver::Options O2 = smallOptions();
-  O2.Search.MaxCycles = 8;
-  // A search-only knob moves the result fingerprint but not the
-  // saturation fingerprint: the warm graph stays valid, the result
-  // cache entry does not.
-  EXPECT_NE(resultFingerprint(O1), resultFingerprint(O2));
-  EXPECT_EQ(matchFingerprint(O1), matchFingerprint(O2));
-  driver::Options O3 = smallOptions();
-  O3.EnforceGuard = false;
-  EXPECT_NE(matchFingerprint(O1), matchFingerprint(O3));
-  // The per-K reference may return a different program at the same K.
-  driver::Options O5 = smallOptions();
-  O5.Search.FreshPerK = true;
-  EXPECT_NE(resultFingerprint(O1), resultFingerprint(O5));
 }
 
 // Property over the generator stream: canonicalization is deterministic,
@@ -340,11 +322,9 @@ TEST(ServerTest, RenamedVariantServedFromCacheAndVerifies) {
   EXPECT_EQ(Direct.Search.Cycles, Hit.Result.Search.Cycles);
 }
 
-TEST(ServerTest, WarmGraphReusedWhenResultEntryCannotBeCached) {
-  // A result cache too small for any entry (but nonzero) forces tier 1 to
-  // stay empty while the count-capped warm-graph memo still works: the
-  // second identical request must skip saturation (WarmGraph source) and
-  // reach the same program.
+TEST(ServerTest, OversizedResultIsNotCachedAndRecompilesCold) {
+  // A result cache too small for any entry (but nonzero) stays empty: the
+  // repeat request compiles cold again, to the same program.
   ServerOptions SO;
   SO.Pipeline = smallOptions();
   SO.Threads = 1;
@@ -358,18 +338,22 @@ TEST(ServerTest, WarmGraphReusedWhenResultEntryCannotBeCached) {
 
   ServerResponse Second = Server.compileText(Text);
   ASSERT_TRUE(Second.Result.ok()) << Second.Result.Error;
-  EXPECT_EQ(Second.Source, ResultSource::WarmGraph);
+  EXPECT_EQ(Second.Source, ResultSource::Cold);
   EXPECT_EQ(First.Result.Search.Cycles, Second.Result.Search.Cycles);
   EXPECT_EQ(First.Result.Search.Program.toString(),
             Second.Result.Search.Program.toString());
-  EXPECT_EQ(Server.stats().WarmCompiles, 1u);
+  ServerStats St = Server.stats();
+  EXPECT_EQ(St.ColdCompiles, 2u);
+  EXPECT_EQ(St.CacheServes, 0u);
+  EXPECT_EQ(St.ResultCache.Entries, 0u);
+  EXPECT_EQ(St.ResultCache.Insertions, 0u);
 }
 
 TEST(ServerTest, CacheOffMatchesPlainDriver) {
   ServerOptions SO;
   SO.Pipeline = smallOptions();
   SO.Threads = 1;
-  SO.CacheBytes = 0; // Disables the result cache AND the graph memo.
+  SO.CacheBytes = 0; // Disables the result cache.
   CompileServer Server(SO);
   const std::string Text = "(gma n (assign r (add64 a b)))";
 
@@ -387,9 +371,7 @@ TEST(ServerTest, CacheOffMatchesPlainDriver) {
             R2.Result.Search.Program.toString());
   ServerStats St = Server.stats();
   EXPECT_EQ(St.CacheServes, 0u);
-  EXPECT_EQ(St.WarmCompiles, 0u);
   EXPECT_EQ(St.ResultCache.Entries, 0u);
-  EXPECT_EQ(St.GraphMemo.Entries, 0u);
 }
 
 TEST(ServerTest, ZeroCycleFloorIsTreatedAsOne) {
@@ -448,6 +430,37 @@ TEST(ServerTest, CacheStaysWithinByteCap) {
   ASSERT_TRUE(Again.Result.ok()) << Again.Result.Error;
 }
 
+// Several clients send one new text at once; its compile takes about
+// 10 ms (Release), so they all miss and compile cold. The cache keeps the
+// result put first, so one entry remains. The TSan copy of this test
+// (server_tests_tsan) is the race gate for the racing puts.
+TEST(ServerTest, ConcurrentIdenticalMissesLeaveOneEntry) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  CompileServer Server(SO);
+  const std::string Text =
+      "(gma same (assign r (add64 (shl64 (and64 a 255) 8) "
+      "(and64 (shr64 a 8) 255))))";
+  const unsigned Clients = 6;
+  std::vector<ServerResponse> Rs(Clients);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < Clients; ++I)
+    Threads.emplace_back([&, I] { Rs[I] = Server.compileText(Text); });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const ServerResponse &R : Rs) {
+    ASSERT_TRUE(R.Result.ok()) << R.Result.Error;
+    EXPECT_EQ(R.Result.Search.Program.toString(),
+              Rs[0].Result.Search.Program.toString());
+  }
+  ServerStats St = Server.stats();
+  EXPECT_EQ(St.Requests, Clients);
+  EXPECT_EQ(St.ColdCompiles + St.CacheServes, Clients);
+  EXPECT_GE(St.ColdCompiles, 1u);
+  EXPECT_EQ(St.ResultCache.Entries, 1u);
+  EXPECT_EQ(St.ResultCache.Insertions, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Re-entrancy (satellite: const, concurrent Superoptimizer)
 //===----------------------------------------------------------------------===//
@@ -485,8 +498,7 @@ TEST(ServerTest, ConcurrentCompilesOnOneConstSuperoptimizer) {
 }
 
 TEST(ServerTest, SaturateOnceCompileManyConcurrently) {
-  // The warm-graph tier's underlying contract: one frozen SaturatedGma
-  // serves concurrent compileSaturated() calls.
+  // One frozen SaturatedGma serves concurrent compileSaturated() calls.
   driver::Superoptimizer Opt(smallOptions());
   gma::GMA G = parse(Opt, "(gma s (assign r (add64 (xor64 a b) c)))");
   driver::SaturatedGma S = Opt.saturateGMA(G);
@@ -652,6 +664,48 @@ TEST(ServerTest, ServeAnswersInOrderAndHandlesVerbs) {
   EXPECT_EQ(Lines[4].compare(0, 7, "(ok p3 "), 0) << Lines[4];
   // p3 is an alpha-variant of p1: served from cache.
   EXPECT_NE(Lines[4].find(":source hit"), std::string::npos) << Lines[4];
+}
+
+/// A request whose parentheses nest \p Depth deep, the gma and assign
+/// forms included: (gma <Name> (assign r (not64 (not64 ... a)))).
+std::string nestedRequest(const std::string &Name, unsigned Depth) {
+  std::string Text = "(gma " + Name + " (assign r ";
+  for (unsigned I = 2; I < Depth; ++I)
+    Text += "(not64 ";
+  Text += 'a';
+  Text.append(Depth, ')');
+  return Text;
+}
+
+// A request nested far deeper than sexpr::MaxNesting gets a parse error
+// at the first parenthesis past the limit; the server goes on to answer a
+// request nested exactly at the limit (even not64s are the identity) and
+// the request after it, each on one line, its program included.
+TEST(ServerTest, ServeAnswersAfterARequestNestedTooDeep) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 2;
+  SO.PrintPrograms = true;
+  CompileServer Server(SO);
+  std::istringstream In(nestedRequest("deep", 60000) + "\n" +
+                        nestedRequest("limit", sexpr::MaxNesting) + "\n" +
+                        "(gma after (assign r (add64 a b)))\n");
+  std::ostringstream Out;
+  EXPECT_EQ(Server.serve(In, Out), 1);
+
+  std::vector<std::string> Lines;
+  std::istringstream Split(Out.str());
+  for (std::string L; std::getline(Split, L);)
+    Lines.push_back(L);
+  ASSERT_EQ(Lines.size(), 3u);
+  // "(gma deep (assign r " is 20 characters, and each "(not64 " 7.
+  EXPECT_EQ(Lines[0],
+            strFormat("(error \"parse: 1:%u: parentheses nested deeper "
+                      "than %u\")",
+                      21 + 7 * (sexpr::MaxNesting - 2), sexpr::MaxNesting));
+  EXPECT_EQ(Lines[1].compare(0, 20, "(ok limit :cycles 0 "), 0) << Lines[1];
+  EXPECT_EQ(Lines[2].compare(0, 10, "(ok after "), 0) << Lines[2];
+  EXPECT_EQ(Server.stats().ParseErrors, 1u);
 }
 
 //===----------------------------------------------------------------------===//

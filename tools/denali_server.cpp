@@ -2,8 +2,8 @@
 //
 // denali_server: Denali as a service. Reads s-expr compile requests from
 // stdin (or a corpus file in --bulk mode), answers each on one line, and
-// keeps a canonical-GMA result cache plus a warm saturated-e-graph memo
-// across requests.
+// keeps a canonical-GMA result cache across requests: a request is served
+// from the cache or compiled cold.
 //
 //   denali_server [options]
 //     --threads N        worker threads compiling requests concurrently
@@ -11,10 +11,10 @@
 //     --cache-bytes N    result-cache capacity; accepts k/m/g suffixes
 //                        (default 64m). 0 disables all caching: every
 //                        request runs the plain driver pipeline.
-//     --warm-graphs N    saturated e-graphs kept warm (default 64)
-//     --bulk FILE        compile every (gma ...) form in FILE, grouping
-//                        same-skeleton requests into one saturation;
-//                        prints one response line per form, in order
+//     --bulk FILE        compile every request form in FILE (read as on
+//                        stdin), grouping same-skeleton requests into one
+//                        compile; prints one response line per form, in
+//                        order
 //     --print-programs   attach the emitted assembly to responses
 //     --stats            print a (stats ...) summary line on exit
 //     --max-cycles N     budget ceiling (default 16)
@@ -30,8 +30,8 @@
 //     --no-guard         drop guard-before-memory enforcement
 //     --machine NAME     machine-model backend (alpha, rv64; default alpha)
 //     --trace-out=FILE / --jsonl-out=FILE / --metrics-out=FILE /
-//     --log-level=N      observability (server.cache.* / server.memo.* /
-//                        server.requests land in the metrics summary)
+//     --log-level=N      observability (server.cache.* / server.requests
+//                        land in the metrics summary)
 //
 // Telemetry (always on unless --obs-off): every request gets a RequestId
 // stamped on its spans, and live sliding-window latency histograms feed the
@@ -53,14 +53,13 @@
 //   -> (stats)
 //   -> (stats-full)
 //   -> (quit)
-//   <- (ok <name> :cycles N :source cold|warm|hit :seconds S ...)
+//   <- (ok <name> :cycles N :source cold|hit :seconds S [:program "..."])
 //   <- (error "message")
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Obs.h"
 #include "server/Server.h"
-#include "sexpr/Parser.h"
 #include "support/StringExtras.h"
 
 #include <cerrno>
@@ -70,7 +69,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace denali;
 
@@ -131,40 +129,16 @@ int runBulk(server::CompileServer &Server, const std::string &Path,
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     return 1;
   }
-  std::stringstream SS;
-  SS << In.rdbuf();
-  std::string Corpus = SS.str();
-
-  // Split the corpus into top-level forms with the (zero-copy) reader,
-  // then hand the form texts to the server's batching bulk path.
-  sexpr::ParseResult P = sexpr::parse(Corpus);
-  if (!P.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(),
-                 P.Error->toString().c_str());
-    return 1;
-  }
   std::vector<std::string> Texts;
-  Texts.reserve(P.Forms.size());
-  for (const sexpr::SExpr &F : P.Forms)
-    Texts.push_back(F.toString());
-  std::vector<server::ServerResponse> Rs = Server.compileBulk(Texts);
-
+  for (std::string Form; server::readForm(In, Form);)
+    Texts.push_back(std::move(Form));
   int Failures = 0;
-  for (size_t I = 0; I < Rs.size(); ++I) {
-    const server::ServerResponse &R = Rs[I];
-    if (!R.Result.Error.empty()) {
+  for (const server::ServerResponse &R : Server.compileBulk(Texts)) {
+    if (!R.Result.Error.empty())
       ++Failures;
-      std::printf("(error \"%s\")\n",
-                  obs::jsonEscape(R.Result.Error).c_str());
-      continue;
-    }
-    std::printf("(ok %s :cycles %u :source %s :seconds %.6f)\n",
-                R.Result.Gma.Name.empty() ? "unnamed"
-                                          : R.Result.Gma.Name.c_str(),
-                R.Result.Search.Cycles,
-                server::resultSourceName(R.Source), R.Seconds);
-    if (Server.options().PrintPrograms)
-      std::printf("%s", R.Result.Search.Program.toString().c_str());
+    std::string Line =
+        server::formatResponse(R, Server.options().PrintPrograms);
+    std::printf("%s\n", Line.c_str());
   }
   if (PrintStats)
     std::printf("%s\n", Server.statsText().c_str());
@@ -190,12 +164,6 @@ int main(int argc, char **argv) {
                    flagValue(Arg, "--cache-bytes", I, argc, argv)) {
       if (!parseBytes(V, SOpts.CacheBytes))
         return usageError("--cache-bytes", V, "a byte count");
-    } else if (const char *V =
-                   flagValue(Arg, "--warm-graphs", I, argc, argv)) {
-      uint64_t N = 0;
-      if (!parseDecimal(V, N))
-        return usageError("--warm-graphs", V, DecimalOrZero);
-      SOpts.WarmGraphs = static_cast<size_t>(N);
     } else if (const char *V = flagValue(Arg, "--bulk", I, argc, argv)) {
       BulkPath = V;
     } else if (std::strcmp(Arg, "--print-programs") == 0) {
