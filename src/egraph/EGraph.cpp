@@ -35,8 +35,9 @@ ENodeId EGraph::hashconsFind(ir::OpId Op, const ClassId *Children,
         if (N.Op != Op || N.ConstVal != ConstVal ||
             N.Children.size() != NumChildren)
           return false;
+        const ClassId *Stored = N.Children.data();
         for (size_t I = 0; I < NumChildren; ++I)
-          if (N.Children[I] != UF.find(Children[I]))
+          if (Stored[I] != UF.find(Children[I]))
             return false;
         return true;
       });
@@ -51,9 +52,11 @@ ENodeId EGraph::insertNode(ir::OpId Op, const ClassId *Children,
     return Existing;
   }
   WasNew = true;
-  std::vector<ClassId> Canonical(NumChildren);
-  for (size_t I = 0; I < NumChildren; ++I)
-    Canonical[I] = UF.find(Children[I]);
+  // The children are copied before the node table grows: they may point
+  // into another node.
+  ChildList Canonical(Children, NumChildren);
+  for (ClassId &C : Canonical)
+    C = UF.find(C);
   ENodeId NId = static_cast<ENodeId>(Nodes.size());
   ClassId CId = UF.makeSet();
   assert(CId == ClassStates.size() && "class table out of sync");

@@ -43,14 +43,80 @@ namespace egraph {
 using ClassId = uint32_t;
 using ENodeId = uint32_t;
 
+/// An e-node's operand classes. Up to InlineCapacity of them (every
+/// builtin operator's) live in the list itself, so reading a node's
+/// children follows no pointer; a declared operator with more gets one
+/// heap block, which the list owns alone: a copy copies the block, and a
+/// move hands it over and leaves its source empty.
+class ChildList {
+public:
+  static constexpr size_t InlineCapacity = 3;
+
+  ChildList() = default;
+  ChildList(const ClassId *Ids, size_t N) : Size(static_cast<uint32_t>(N)) {
+    if (N > InlineCapacity)
+      Heap = new ClassId[N];
+    std::copy(Ids, Ids + N, data());
+  }
+  ChildList(const ChildList &O) : ChildList(O.data(), O.size()) {}
+  ChildList(ChildList &&O) noexcept { take(O); }
+  ChildList &operator=(const ChildList &O) {
+    if (this != &O)
+      *this = ChildList(O);
+    return *this;
+  }
+  ChildList &operator=(ChildList &&O) noexcept {
+    if (this != &O) {
+      release();
+      take(O);
+    }
+    return *this;
+  }
+  ~ChildList() { release(); }
+
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  const ClassId *data() const { return Size > InlineCapacity ? Heap : Inline; }
+  ClassId *data() { return Size > InlineCapacity ? Heap : Inline; }
+  const ClassId &operator[](size_t I) const { return data()[I]; }
+  ClassId &operator[](size_t I) { return data()[I]; }
+  const ClassId *begin() const { return data(); }
+  const ClassId *end() const { return data() + Size; }
+  ClassId *begin() { return data(); }
+  ClassId *end() { return data() + Size; }
+
+private:
+  uint32_t Size = 0;
+  union {
+    ClassId Inline[InlineCapacity];
+    ClassId *Heap;
+  };
+
+  void take(ChildList &O) {
+    Size = O.Size;
+    if (Size > InlineCapacity) {
+      Heap = O.Heap;
+      O.Size = 0;
+    } else {
+      std::copy(O.Inline, O.Inline + Size, Inline);
+    }
+  }
+  void release() {
+    if (Size > InlineCapacity)
+      delete[] Heap;
+    Size = 0;
+  }
+};
+
 /// One E-node: an operator applied to equivalence classes.
 struct ENode {
   ir::OpId Op = 0;
-  std::vector<ClassId> Children; ///< Canonical as of the last rebuild.
-  uint64_t ConstVal = 0;         ///< For Builtin::Const nodes.
-  ClassId Class = 0;             ///< May be stale; canonicalize via find().
+  ChildList Children;    ///< Canonical as of the last rebuild.
+  uint64_t ConstVal = 0; ///< For Builtin::Const nodes.
+  ClassId Class = 0;     ///< May be stale; canonicalize via find().
   bool Alive = true; ///< False once deduplicated against a congruent twin.
 };
+static_assert(sizeof(ENode) == 48, "the node table holds every e-node");
 
 /// Why two classes were merged — one edge of the proof forest. The matcher
 /// stamps axiom instances (rule id, firing round, substitution slice into
@@ -285,14 +351,25 @@ public:
   // Operator views (the e-matcher's class scans)
   //===--------------------------------------------------------------------===
 
-  /// Applies \p Fn to the live nodes of the class of \p C whose operator is
-  /// \p Op: exactly the nodes forEachClassNode() visits that carry \p Op,
-  /// in the same order. Reads the class's operator view, a binary search
-  /// away from the range, which must be fresh: refreshOpViews() must have
-  /// run since the class was last created, merged or lost a member.
-  /// \p Fn must not mutate the graph.
-  void forEachClassNodeWithOp(ClassId C, ir::OpId Op,
-                              FunctionRef<void(ENodeId)> Fn) const {
+  /// One entry of a class's operator view.
+  struct OpMember {
+    ir::OpId Op;
+    ENodeId Node;
+  };
+  /// The entries of one operator in one class's view, begin() to end().
+  struct OpRange {
+    const OpMember *First = nullptr, *Last = nullptr;
+    const OpMember *begin() const { return First; }
+    const OpMember *end() const { return Last; }
+  };
+
+  /// The live nodes of the class of \p C whose operator is \p Op: exactly
+  /// the nodes forEachClassNode() visits that carry \p Op, in the same
+  /// order. Reads the class's operator view, a binary search away from
+  /// the range, which must be fresh: refreshOpViews() must have run since
+  /// the class was last created, merged or lost a member. The range is
+  /// valid until the next refresh.
+  OpRange opView(ClassId C, ir::OpId Op) const {
     const ClassState &S = ClassStates[UF.find(C)];
     assert(S.ViewBegin != StaleView &&
            "operator view read before refreshOpViews()");
@@ -300,8 +377,10 @@ public:
     const OpMember *It = std::lower_bound(
         Views.data() + S.ViewBegin, End, Op,
         [](const OpMember &M, ir::OpId O) { return M.Op < O; });
-    for (; It != End && It->Op == Op; ++It)
-      Fn(It->Node);
+    const OpMember *Last = It;
+    while (Last != End && Last->Op == Op)
+      ++Last;
+    return {It, Last};
   }
 
   /// Rebuilds the operator view of every class created, merged or retired
@@ -405,12 +484,6 @@ private:
   // the stale key until then. Every live node is filed at most once, and
   // no two filed nodes have equal keys.
   HashIndex Hashcons;
-
-  // One entry of a class's operator view.
-  struct OpMember {
-    ir::OpId Op;
-    ENodeId Node;
-  };
 
   // Per-class state, indexed by (possibly stale) class id; authoritative
   // only at the canonical representative.

@@ -3,6 +3,7 @@
 #include "lang/Surface.h"
 
 #include "lang/Parser.h"
+#include "sexpr/Parser.h"
 #include "support/StringExtras.h"
 
 #include <cassert>
@@ -191,6 +192,35 @@ private:
                             Msg.c_str(), T.Text.c_str());
     return false;
   }
+
+  /// Expressions nest by recursion: parentheses (grouping, calls, \cast
+  /// and \ite) and unary operators each parse their operands one level
+  /// deeper. As in the S-expression reader, a level past
+  /// sexpr::MaxNesting is a parse error at its opening token, not a stack
+  /// overflow, and no later stage sees a deeper expression.
+  unsigned Depth = 0;
+
+  /// One level of expression nesting, held while its operands parse.
+  class Nested {
+  public:
+    Nested(SurfaceParser &P, const Token &Open)
+        : P(P), Ok(P.Depth < sexpr::MaxNesting) {
+      if (Ok)
+        ++P.Depth;
+      else
+        P.fail(Open, strFormat("expression nested deeper than %u",
+                               sexpr::MaxNesting));
+    }
+    ~Nested() {
+      if (Ok)
+        --P.Depth;
+    }
+    explicit operator bool() const { return Ok; }
+
+  private:
+    SurfaceParser &P;
+    bool Ok;
+  };
 
   bool expect(const char *P) {
     if (Lex.peek().is(P)) {
@@ -402,8 +432,11 @@ private:
 
   ExprPtr parseExpr() { return parseBinary(0); }
 
-  /// Binary precedence tiers, loosest first.
-  ExprPtr parseBinary(int Level) {
+  /// Binary operators of tier \p MinLevel and tighter, by precedence
+  /// climbing over the tiers below, loosest first: an operator's right
+  /// operand holds only tighter operators, so each is left-associative,
+  /// and a nesting level costs one call here rather than one per tier.
+  ExprPtr parseBinary(int MinLevel) {
     struct Tier {
       const char *Toks[5];
     };
@@ -418,69 +451,77 @@ private:
         {{"*", "**", nullptr}},
     };
     constexpr int NumTiers = static_cast<int>(std::size(Tiers));
-    if (Level >= NumTiers)
-      return parseUnary();
-    ExprPtr Lhs = parseBinary(Level + 1);
+    ExprPtr Lhs = parseUnary();
     if (!Lhs)
       return nullptr;
     for (;;) {
       const Token &T = Lex.peek();
       const char *Match = nullptr;
-      for (const char *P : Tiers[Level].Toks) {
-        if (!P)
-          break;
-        if (T.is(P)) {
-          Match = P;
-          break;
+      int Level = MinLevel;
+      for (; Level < NumTiers && !Match; ++Level)
+        for (const char *P : Tiers[Level].Toks) {
+          if (!P)
+            break;
+          if (T.is(P)) {
+            Match = P;
+            break;
+          }
         }
-      }
       if (!Match)
         return Lhs;
       // `x<3>` byte selection is handled in parsePostfix; reaching here
       // with '<' means comparison.
       unsigned Line = T.Line;
       Lex.take();
-      ExprPtr Rhs = parseBinary(Level + 1);
+      ExprPtr Rhs = parseBinary(Level); // Level is one past Match's tier.
       if (!Rhs)
         return nullptr;
-      std::string Op = Match;
-      if (Op == "|")
-        Lhs = makeApply("or64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "^")
-        Lhs = makeApply("xor64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "&")
-        Lhs = makeApply("and64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "==")
-        Lhs = makeApply("cmpeq", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "!=") {
-        // a != b  =  cmpeq(cmpeq(a, b), 0)
-        ExprPtr Eq =
-            makeApply("cmpeq", vec(std::move(Lhs), std::move(Rhs)), Line);
-        auto Zero = std::make_unique<Expr>();
-        Zero->TheKind = Expr::Kind::Number;
-        Zero->Number = 0;
-        Lhs = makeApply("cmpeq", vec(std::move(Eq), std::move(Zero)), Line);
-      } else if (Op == "<")
-        Lhs = makeApply("cmplt", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "<=")
-        Lhs = makeApply("cmple", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == ">")
-        Lhs = makeApply("cmplt", vec(std::move(Rhs), std::move(Lhs)), Line);
-      else if (Op == ">=")
-        Lhs = makeApply("cmple", vec(std::move(Rhs), std::move(Lhs)), Line);
-      else if (Op == "<<")
-        Lhs = makeApply("shl64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == ">>")
-        Lhs = makeApply("shr64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "+")
-        Lhs = makeApply("add64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "-")
-        Lhs = makeApply("sub64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "*")
-        Lhs = makeApply("mul64", vec(std::move(Lhs), std::move(Rhs)), Line);
-      else if (Op == "**")
-        Lhs = makeApply("pow", vec(std::move(Lhs), std::move(Rhs)), Line);
+      Lhs = applyBinary(Match, std::move(Lhs), std::move(Rhs), Line);
     }
+  }
+
+  /// The expression binary operator \p Op makes of its operands. Out of
+  /// line, since its temporaries would otherwise sit in the frame that
+  /// every nesting level keeps on the stack.
+  [[gnu::noinline]] ExprPtr applyBinary(const std::string &Op, ExprPtr Lhs,
+                                        ExprPtr Rhs, unsigned Line) {
+    if (Op == "|")
+      Lhs = makeApply("or64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "^")
+      Lhs = makeApply("xor64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "&")
+      Lhs = makeApply("and64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "==")
+      Lhs = makeApply("cmpeq", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "!=") {
+      // a != b  =  cmpeq(cmpeq(a, b), 0)
+      ExprPtr Eq =
+          makeApply("cmpeq", vec(std::move(Lhs), std::move(Rhs)), Line);
+      auto Zero = std::make_unique<Expr>();
+      Zero->TheKind = Expr::Kind::Number;
+      Zero->Number = 0;
+      Lhs = makeApply("cmpeq", vec(std::move(Eq), std::move(Zero)), Line);
+    } else if (Op == "<")
+      Lhs = makeApply("cmplt", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "<=")
+      Lhs = makeApply("cmple", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == ">")
+      Lhs = makeApply("cmplt", vec(std::move(Rhs), std::move(Lhs)), Line);
+    else if (Op == ">=")
+      Lhs = makeApply("cmple", vec(std::move(Rhs), std::move(Lhs)), Line);
+    else if (Op == "<<")
+      Lhs = makeApply("shl64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == ">>")
+      Lhs = makeApply("shr64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "+")
+      Lhs = makeApply("add64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "-")
+      Lhs = makeApply("sub64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "*")
+      Lhs = makeApply("mul64", vec(std::move(Lhs), std::move(Rhs)), Line);
+    else if (Op == "**")
+      Lhs = makeApply("pow", vec(std::move(Lhs), std::move(Rhs)), Line);
+    return Lhs;
   }
 
   static std::vector<ExprPtr> vec(ExprPtr A, ExprPtr B) {
@@ -492,33 +533,30 @@ private:
 
   ExprPtr parseUnary() {
     const Token &T = Lex.peek();
-    if (T.is("-")) {
-      unsigned Line = Lex.take().Line;
+    if (T.is("-") || T.is("~")) {
+      const Token Op = Lex.take();
+      Nested N(*this, Op);
+      if (!N)
+        return nullptr;
       ExprPtr A = parseUnary();
       if (!A)
         return nullptr;
       std::vector<ExprPtr> V;
       V.push_back(std::move(A));
-      return makeApply("neg64", std::move(V), Line);
-    }
-    if (T.is("~")) {
-      unsigned Line = Lex.take().Line;
-      ExprPtr A = parseUnary();
-      if (!A)
-        return nullptr;
-      std::vector<ExprPtr> V;
-      V.push_back(std::move(A));
-      return makeApply("not64", std::move(V), Line);
+      return makeApply(Op.is("-") ? "neg64" : "not64", std::move(V), Op.Line);
     }
     if (T.is("*")) {
       // Memory read, optional \miss annotation after the operand.
-      unsigned Line = Lex.take().Line;
+      const Token Op = Lex.take();
+      Nested N(*this, Op);
+      if (!N)
+        return nullptr;
       ExprPtr Addr = parseUnary();
       if (!Addr)
         return nullptr;
       auto E = std::make_unique<Expr>();
       E->TheKind = Expr::Kind::Deref;
-      E->Line = Line;
+      E->Line = Op.Line;
       E->Args.push_back(std::move(Addr));
       if (Lex.peek().is("\\miss")) {
         Lex.take();
@@ -570,6 +608,9 @@ private:
     }
     if (T.is("(")) {
       Lex.take();
+      Nested N(*this, T);
+      if (!N)
+        return nullptr;
       ExprPtr E = parseExpr();
       if (!E)
         return nullptr;
@@ -579,7 +620,8 @@ private:
     }
     if (T.is("\\cast")) {
       Lex.take();
-      if (!expect("("))
+      Nested N(*this, T);
+      if (!N || !expect("("))
         return nullptr;
       // (expr, type) per Figure 5; also (type, expr).
       auto E = std::make_unique<Expr>();
@@ -609,7 +651,8 @@ private:
     }
     if (T.is("\\ite")) {
       Lex.take();
-      if (!expect("("))
+      Nested N(*this, T);
+      if (!N || !expect("("))
         return nullptr;
       auto E = std::make_unique<Expr>();
       E->TheKind = Expr::Kind::Ite;
@@ -631,7 +674,9 @@ private:
       // Call or plain identifier. \-prefixed builtins keep the backslash
       // (the GMA translator strips it).
       if (Lex.peek().is("(")) {
-        Lex.take();
+        Nested N(*this, Lex.take());
+        if (!N)
+          return nullptr;
         auto E = std::make_unique<Expr>();
         E->TheKind = Expr::Kind::Apply;
         E->Name = T.Text;

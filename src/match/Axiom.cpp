@@ -153,8 +153,14 @@ public:
         return fail(*LiteralForm,
                     "no usable trigger: supply explicit (pats ...)");
     }
-    for (PatternId T : Out.Triggers)
+    for (PatternId T : Out.Triggers) {
       Out.TriggerHeights.push_back(Out.patternHeight(T));
+      Out.TriggerPrograms.push_back(compileTrigger(T));
+    }
+    for (AxiomLiteral &L : Out.Body) {
+      L.LhsProgram = compileSide(L.Lhs);
+      L.RhsProgram = compileSide(L.Rhs);
+    }
     return std::move(Out);
   }
 
@@ -205,8 +211,93 @@ private:
     std::optional<PatternId> R = parsePattern(Form[2]);
     if (!R)
       return false;
-    Out.Body.push_back(AxiomLiteral{IsEq, *L, *R});
+    AxiomLiteral &Lit = Out.Body.emplace_back();
+    Lit.IsEq = IsEq;
+    Lit.Lhs = *L;
+    Lit.Rhs = *R;
     return true;
+  }
+
+  /// The side-program step of pattern node \p N: push its variable, its
+  /// constant, or its operator over its operands.
+  static PatternStep sideStep(const PatternNode &N) {
+    PatternStep S;
+    switch (N.TheKind) {
+    case PatternNode::Kind::Var:
+      S.TheKind = PatternStep::Kind::Var;
+      S.Value = N.VarIndex;
+      break;
+    case PatternNode::Kind::Const:
+      S.TheKind = PatternStep::Kind::Const;
+      S.Value = N.ConstVal;
+      break;
+    case PatternNode::Kind::App:
+      S.TheKind = PatternStep::Kind::App;
+      S.Value = N.Op;
+      S.Slot = static_cast<uint32_t>(N.Children.size());
+      break;
+    }
+    return S;
+  }
+
+  /// Appends trigger \p Root's match program to Out.Steps: its nodes below
+  /// the root in pre-order, left to right, which is the order a
+  /// depth-first match meets them in. By explicit stack, as is every walk
+  /// over a pattern here: patterns can be as deep as the reader allows.
+  PatternProgram compileTrigger(PatternId Root) {
+    PatternProgram P{static_cast<uint32_t>(Out.Steps.size()), 0};
+    struct Frame {
+      PatternId Id;
+      uint32_t Node, Slot;
+    };
+    std::vector<Frame> Stack;
+    auto pushChildren = [&](PatternId Id, uint32_t Reg) {
+      const std::vector<PatternId> &Kids = Out.pattern(Id).Children;
+      for (size_t I = Kids.size(); I-- > 0;)
+        Stack.push_back({Kids[I], Reg, static_cast<uint32_t>(I)});
+    };
+    pushChildren(Root, 0);
+    uint64_t Bound = 0; // Variables an earlier step binds.
+    while (!Stack.empty()) {
+      const Frame F = Stack.back();
+      Stack.pop_back();
+      const PatternNode &N = Out.pattern(F.Id);
+      PatternStep S = sideStep(N);
+      S.Node = F.Node;
+      S.Slot = F.Slot;
+      if (N.TheKind == PatternNode::Kind::App) {
+        S.TheKind = PatternStep::Kind::Bind;
+        // Step I holds its node in register I + 1.
+        pushChildren(F.Id,
+                     static_cast<uint32_t>(Out.Steps.size() - P.Begin) + 1);
+      } else if (N.TheKind == PatternNode::Kind::Var) {
+        S.Repeat = (Bound >> N.VarIndex) & 1;
+        Bound |= 1ULL << N.VarIndex;
+      }
+      Out.Steps.push_back(S);
+    }
+    P.Size = static_cast<uint32_t>(Out.Steps.size() - P.Begin);
+    return P;
+  }
+
+  /// Appends literal side \p Root's program to Out.Steps: its nodes in
+  /// post-order, left to right.
+  PatternProgram compileSide(PatternId Root) {
+    PatternProgram P{static_cast<uint32_t>(Out.Steps.size()), 0};
+    std::vector<std::pair<PatternId, size_t>> Stack{{Root, 0}};
+    while (!Stack.empty()) {
+      auto &[Id, NextChild] = Stack.back();
+      const PatternNode &N = Out.pattern(Id);
+      if (NextChild < N.Children.size()) {
+        PatternId Child = N.Children[NextChild++];
+        Stack.push_back({Child, 0}); // May invalidate the frame.
+        continue;
+      }
+      Out.Steps.push_back(sideStep(N));
+      Stack.pop_back();
+    }
+    P.Size = static_cast<uint32_t>(Out.Steps.size() - P.Begin);
+    return P;
   }
 
   PatternId addNode(PatternNode N) {

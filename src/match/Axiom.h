@@ -45,26 +45,66 @@ struct PatternNode {
   std::vector<PatternId> Children;    ///< For App.
 };
 
+/// One instruction of a compiled pattern (a range of Axiom::Steps).
+///
+/// A trigger's match program holds one step per pattern node below the
+/// trigger's root, in pre-order. Each step reads the class in child slot
+/// Slot of the node in register Node (register 0 holds the root, register
+/// S + 1 the node step S bound), and then:
+///   * Bind walks the class's nodes with operator Value, binding each in
+///     turn to register S + 1;
+///   * Var binds variable Value to the class, or, when Repeat is set,
+///     checks that the class is the one an earlier step bound it to;
+///   * Const checks that the class holds the constant Value.
+///
+/// A literal side's program holds one step per pattern node, in
+/// post-order, over a stack of classes: Var pushes variable Value's
+/// binding, Const the class of constant Value, and App pops Slot operands
+/// and pushes the class of operator Value applied to them.
+struct PatternStep {
+  enum class Kind : uint8_t { Bind, Var, Const, App };
+  Kind TheKind = Kind::App;
+  bool Repeat = false;
+  uint32_t Slot = 0;
+  uint32_t Node = 0;
+  uint64_t Value = 0;
+};
+
+/// A compiled pattern: Steps[Begin, Begin + Size) of its axiom.
+struct PatternProgram {
+  uint32_t Begin = 0;
+  uint32_t Size = 0;
+};
+
 /// A literal of an axiom body: equality or distinction between patterns.
 struct AxiomLiteral {
   bool IsEq = true;
   PatternId Lhs = 0;
   PatternId Rhs = 0;
+  /// The sides' post-order programs.
+  PatternProgram LhsProgram, RhsProgram;
 };
 
-/// A parsed axiom.
+/// A parsed axiom, compiled: parseAxiom() builds every program once, so
+/// every matcher over the axiom runs them as they are.
 struct Axiom {
   std::string Name; ///< For diagnostics ("axiom@line 12").
   std::vector<std::string> VarNames;
   std::vector<PatternNode> Pool;
   std::vector<PatternId> Triggers; ///< Each binds all variables.
   /// Per trigger, its patternHeight(): a semi-naive round matches it from
-  /// roots within height - 1 parent steps of a changed node. Computed
-  /// with the triggers, so every matcher over this axiom reads it.
+  /// roots within height - 1 parent steps of a changed node.
   std::vector<uint32_t> TriggerHeights;
+  /// Per trigger, its pre-order match program.
+  std::vector<PatternProgram> TriggerPrograms;
   std::vector<AxiomLiteral> Body;  ///< Size 1: plain literal; >1: clause.
+  /// Every program's steps, one program after another.
+  std::vector<PatternStep> Steps;
 
   const PatternNode &pattern(PatternId Id) const { return Pool[Id]; }
+  const PatternStep *steps(PatternProgram P) const {
+    return Steps.data() + P.Begin;
+  }
 
   /// Depth of the deepest application in pattern \p Id (a lone
   /// application is 1; a variable or constant is 0).

@@ -5,7 +5,6 @@
 #include "match/Elaborate.h"
 #include "obs/Obs.h"
 #include "support/Error.h"
-#include "support/FunctionRef.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
@@ -18,16 +17,20 @@ using namespace denali::egraph;
 
 namespace {
 
-/// Backtracking e-matcher over a trigger's root nodes. Matches are
-/// reported through OnMatch; the engine never mutates the graph (matches
-/// are collected and instantiated afterwards).
+/// Runs a trigger's match program (Axiom::TriggerPrograms) from each of
+/// its root nodes. Matches are reported as they are found; the engine
+/// never mutates the graph (matches are queued and instantiated
+/// afterwards).
 ///
-/// The backtracking search is continuation-passing, but the continuations
-/// are non-owning FunctionRefs into stack frames of the search itself —
-/// the inner loop of saturation performs no heap allocation (a
-/// std::function per pattern node per candidate used to dominate the
-/// matcher's profile). One engine serves a whole saturation: its binding
-/// vectors keep their capacity from one run to the next.
+/// The program's steps run forward until one fails or the program ends,
+/// which is a match; then the search backtracks to the latest Bind step
+/// that still has candidates and runs forward from it again. Steps are in
+/// pre-order and each Bind step walks its class's candidates in view
+/// order, so matches come out depth first, left to right, and a report
+/// that stops the search (a budget, the instance cap) always stops it at
+/// the same match. Nothing here recurses, and nothing allocates once the
+/// registers have grown to the longest program; one engine serves a
+/// whole saturation.
 ///
 /// A semi-naive run (a non-null \p Steps table, see DeltaSteps) reports
 /// only the matches that use some logged node. Given the roots a full scan
@@ -37,107 +40,100 @@ class MatchEngine {
 public:
   explicit MatchEngine(const EGraph &G) : G(G) {}
 
-  /// Matches \p Trigger of \p Axm against \p Roots: G.nodesWithOp(trigger
-  /// op), or the semi-naive roots within it, in the same order. OnMatch
-  /// returns false to stop the enumeration (budget caps). The graph's
-  /// operator views must be fresh.
-  void run(const Axiom &Axm, PatternId Trigger,
-           const std::vector<ENodeId> &Roots, const uint32_t *StepTable,
-           FunctionRef<bool(const std::vector<ClassId> &)> Report) {
-    A = &Axm;
+  /// Runs trigger \p Trigger of \p Axm from \p Roots: G.nodesWithOp(trigger
+  /// op), or the semi-naive roots within it, in the same order.
+  /// \p Report(bindings) returns false to stop the enumeration (budget
+  /// caps). The graph's operator views must be fresh.
+  template <typename ReportFn>
+  void run(const Axiom &Axm, size_t Trigger, const std::vector<ENodeId> &Roots,
+           const uint32_t *StepTable, ReportFn &&Report) {
+    const PatternProgram P = Axm.TriggerPrograms[Trigger];
+    Prog = Axm.steps(P);
+    Len = P.Size;
     Steps = StepTable;
-    OnMatch = Report;
-    Bindings.assign(Axm.VarNames.size(), 0);
-    Bound.assign(Axm.VarNames.size(), 0);
-    LoggedOnPath = 0;
-    Stopped = false;
-    const PatternNode &Root = Axm.pattern(Trigger);
-    assert(Root.TheKind == PatternNode::Kind::App && "trigger must be App");
-    // The engine only reads the graph and the match callback only queues
-    // (instantiation happens after every axiom has matched), so the op
-    // index is stable here — no defensive copy. Retired nodes in the
-    // index are skipped.
-    auto Found = [&] {
-      if (Steps && !LoggedOnPath)
-        return;
-      if (!OnMatch(Bindings))
-        Stopped = true;
-    };
-    for (size_t I = 0; I < Roots.size() && !Stopped; ++I) {
-      if (!G.node(Roots[I]).Alive)
-        continue;
-      matchNode(Root, Roots[I], Found);
+    Bindings.resize(Axm.VarNames.size());
+    if (Regs.size() < Len + 1) {
+      Regs.resize(Len + 1);
+      Left.resize(Len);
+      LoggedAt.resize(Len);
     }
+    // The engine only reads the graph and the report only queues, so the
+    // root list and the views are stable here. Retired roots are skipped.
+    for (ENodeId Root : Roots)
+      if (G.node(Root).Alive && !matchFrom(Root, Report))
+        return;
   }
 
 private:
   const EGraph &G;
-  const Axiom *A = nullptr;
+  const PatternStep *Prog = nullptr;
+  uint32_t Len = 0;
   const uint32_t *Steps = nullptr;
-  FunctionRef<bool(const std::vector<ClassId> &)> OnMatch;
   std::vector<ClassId> Bindings;
-  std::vector<uint8_t> Bound;
-  unsigned LoggedOnPath = 0; ///< Logged nodes in the partial match.
-  bool Stopped = false;
+  /// By register: the root, then the node each Bind step holds.
+  std::vector<ENodeId> Regs;
+  /// By step, for Bind steps on the path: the candidates not yet given up,
+  /// the one held first, and whether the one held is logged.
+  std::vector<EGraph::OpRange> Left;
+  std::vector<uint8_t> LoggedAt;
 
-  using Cont = FunctionRef<void()>;
+  bool logged(ENodeId N) const { return Steps && Steps[N] == 0; }
 
-  /// Matches App pattern \p P at node \p N. The continuation runs while N
-  /// is part of the partial match, so LoggedOnPath counts it until then.
-  void matchNode(const PatternNode &P, ENodeId N, Cont K) {
-    const bool Logged = Steps && Steps[N] == 0;
-    LoggedOnPath += Logged;
-    matchChildren(P, N, 0, K);
-    LoggedOnPath -= Logged;
+  /// Puts Bind step \p I's current candidate in its register.
+  /// \returns 1 if that node is logged.
+  unsigned hold(uint32_t I) {
+    const ENodeId N = Left[I].First->Node;
+    Regs[I + 1] = N;
+    return LoggedAt[I] = logged(N);
   }
 
-  void matchChildren(const PatternNode &P, ENodeId N, size_t Idx, Cont K) {
-    if (Stopped)
-      return;
-    if (Idx == P.Children.size()) {
-      K();
-      return;
-    }
-    ClassId ChildClass = G.node(N).Children[Idx];
-    auto Rest = [&, Idx] { matchChildren(P, N, Idx + 1, K); };
-    matchClass(P.Children[Idx], ChildClass, Rest);
-  }
-
-  void matchClass(PatternId PId, ClassId C, Cont K) {
-    if (Stopped)
-      return;
-    const PatternNode &P = A->pattern(PId);
-    C = G.find(C);
-    switch (P.TheKind) {
-    case PatternNode::Kind::Var: {
-      uint32_t V = P.VarIndex;
-      if (Bound[V]) {
-        if (G.find(Bindings[V]) == C)
-          K();
-        return;
+  /// Enumerates the matches rooted at \p Root. \returns false once
+  /// \p Report has asked to stop.
+  template <typename ReportFn> bool matchFrom(ENodeId Root, ReportFn &Report) {
+    using Kind = PatternStep::Kind;
+    Regs[0] = Root;
+    unsigned LoggedOnPath = logged(Root); // Logged nodes on the path.
+    uint32_t I = 0;
+    for (;;) {
+      bool Ok = true;
+      for (; I < Len; ++I) {
+        const PatternStep &S = Prog[I];
+        const ClassId C = G.find(G.node(Regs[S.Node]).Children[S.Slot]);
+        if (S.TheKind == Kind::Bind) {
+          // E-matching proper: the class's nodes with the step's operator
+          // (Figure 2's 2**2 inside 4's class), from its operator view.
+          Left[I] = G.opView(C, static_cast<ir::OpId>(S.Value));
+          Ok = Left[I].First != Left[I].Last;
+          if (Ok)
+            LoggedOnPath += hold(I);
+        } else if (S.TheKind == Kind::Var) {
+          if (S.Repeat)
+            Ok = Bindings[S.Value] == C;
+          else
+            Bindings[S.Value] = C;
+        } else {
+          const std::optional<uint64_t> K = G.classConstant(C);
+          Ok = K && *K == S.Value;
+        }
+        if (!Ok)
+          break;
       }
-      Bound[V] = 1;
-      Bindings[V] = C;
-      K();
-      Bound[V] = 0;
-      return;
-    }
-    case PatternNode::Kind::Const: {
-      std::optional<uint64_t> K2 = G.classConstant(C);
-      if (K2 && *K2 == P.ConstVal)
-        K();
-      return;
-    }
-    case PatternNode::Kind::App: {
-      // E-matching proper: the equivalence class's nodes with the right
-      // operator (Figure 2's 2**2 inside 4's class), from its operator
-      // view.
-      G.forEachClassNodeWithOp(C, P.Op, [&](ENodeId N) {
-        if (!Stopped)
-          matchNode(P, N, K);
-      });
-      return;
-    }
+      if (Ok && (!Steps || LoggedOnPath) && !Report(Bindings.data()))
+        return false;
+      // Backtrack: resume the latest Bind step before step I that still
+      // has candidates; the steps after it run again.
+      for (;;) {
+        if (I == 0)
+          return true;
+        --I;
+        if (Prog[I].TheKind != Kind::Bind)
+          continue;
+        LoggedOnPath -= LoggedAt[I];
+        if (++Left[I].First != Left[I].Last)
+          break;
+      }
+      LoggedOnPath += hold(I);
+      ++I;
     }
   }
 };
@@ -316,91 +312,80 @@ void InstanceSet::erase(uint32_t AxiomIdx, const ClassId *Bindings,
     Index.erase(Hash, Off - 1);
 }
 
-ClassId Matcher::instantiate(EGraph &G, const Axiom &A, PatternId Root,
-                             const ClassId *Bindings) {
-  // Post-order by explicit stack with a value stack: each App adds itself
-  // over its children's classes, read in place off the value stack. Stress
-  // axioms nest deeply enough that recursing here was the one remaining
-  // unbounded-depth path under saturation.
-  WalkStack.assign(1, {Root, 0});
-  WalkValues.clear();
-  while (!WalkStack.empty()) {
-    auto &[PId, NextChild] = WalkStack.back();
-    const PatternNode &P = A.pattern(PId);
-    ClassId Value = 0;
-    switch (P.TheKind) {
-    case PatternNode::Kind::Var:
-      Value = Bindings[P.VarIndex];
-      break;
-    case PatternNode::Kind::Const:
-      Value = G.addConst(P.ConstVal);
-      break;
-    case PatternNode::Kind::App: {
-      if (NextChild < P.Children.size()) {
-        PatternId Child = P.Children[NextChild++];
-        WalkStack.push_back({Child, 0}); // May invalidate the frame.
-        continue;
-      }
-      size_t N = P.Children.size();
-      Value = G.addNode(P.Op, WalkValues.data() + WalkValues.size() - N, N);
-      WalkValues.resize(WalkValues.size() - N);
-      break;
-    }
-    }
-    WalkValues.push_back(Value);
-    WalkStack.pop_back();
-  }
-  assert(WalkValues.size() == 1 && "unbalanced pattern evaluation");
-  return WalkValues.back();
-}
+namespace {
 
-std::optional<ClassId> Matcher::lookup(const EGraph &G, const Axiom &A,
-                                       PatternId Root,
-                                       const ClassId *Bindings) {
-  // instantiate()'s post-order walk, with hash-cons lookups for adds.
-  WalkStack.assign(1, {Root, 0});
-  WalkValues.clear();
-  while (!WalkStack.empty()) {
-    auto &[PId, NextChild] = WalkStack.back();
-    const PatternNode &P = A.pattern(PId);
+/// Runs literal side program \p P of \p A under \p Bindings over the
+/// value stack \p Values: Const steps push what \p Leaf returns for the
+/// constant, App steps what \p Apply returns for the operator over the
+/// operands they pop. \returns the side's class, or std::nullopt as soon
+/// as \p Leaf or \p Apply does.
+template <typename LeafFn, typename ApplyFn>
+std::optional<ClassId> runSide(const Axiom &A, PatternProgram P,
+                               const ClassId *Bindings,
+                               std::vector<ClassId> &Values, LeafFn &&Leaf,
+                               ApplyFn &&Apply) {
+  Values.clear();
+  const PatternStep *Prog = A.steps(P);
+  for (uint32_t I = 0; I < P.Size; ++I) {
+    const PatternStep &S = Prog[I];
     std::optional<ClassId> Found;
-    switch (P.TheKind) {
-    case PatternNode::Kind::Var:
-      Found = Bindings[P.VarIndex];
+    switch (S.TheKind) {
+    case PatternStep::Kind::Var:
+      Found = Bindings[S.Value];
       break;
-    case PatternNode::Kind::Const:
-      Found = G.lookupConst(P.ConstVal);
+    case PatternStep::Kind::Const:
+      Found = Leaf(S.Value);
       break;
-    case PatternNode::Kind::App:
-      if (NextChild < P.Children.size()) {
-        PatternId Child = P.Children[NextChild++];
-        WalkStack.push_back({Child, 0}); // May invalidate the frame.
-        continue;
-      }
-      size_t N = P.Children.size();
-      Found = G.lookupNode(P.Op, WalkValues.data() + WalkValues.size() - N, N);
-      WalkValues.resize(WalkValues.size() - N);
+    default: {
+      assert(S.TheKind == PatternStep::Kind::App && "not a side program");
+      const size_t N = S.Slot;
+      Found = Apply(static_cast<ir::OpId>(S.Value),
+                    Values.data() + Values.size() - N, N);
+      Values.resize(Values.size() - N);
       break;
+    }
     }
     if (!Found)
       return std::nullopt;
-    WalkValues.push_back(*Found);
-    WalkStack.pop_back();
+    Values.push_back(*Found);
   }
-  return WalkValues.back();
+  assert(Values.size() == 1 && "unbalanced side program");
+  return Values.back();
+}
+
+} // namespace
+
+std::optional<ClassId> Matcher::lookupSide(const EGraph &G, const Axiom &A,
+                                           PatternProgram P,
+                                           const ClassId *Bindings) {
+  return runSide(
+      A, P, Bindings, SideValues,
+      [&](uint64_t V) { return G.lookupConst(V); },
+      [&](ir::OpId Op, const ClassId *Kids, size_t N) {
+        return G.lookupNode(Op, Kids, N);
+      });
+}
+
+ClassId Matcher::addSide(EGraph &G, const Axiom &A, PatternProgram P,
+                         const ClassId *Bindings) {
+  return *runSide(
+      A, P, Bindings, SideValues,
+      [&](uint64_t V) { return std::optional<ClassId>(G.addConst(V)); },
+      [&](ir::OpId Op, const ClassId *Kids, size_t N) {
+        return std::optional<ClassId>(G.addNode(Op, Kids, N));
+      });
 }
 
 bool Matcher::assertInstance(EGraph &G, const Axiom &A, uint32_t AxiomIdx,
                              unsigned Round, const ClassId *Bindings) {
   // Lookup first: an instance whose nodes all exist and whose literal (or
-  // some clause literal) already holds changes nothing, which
-  // instantiate() and the assertion below would only confirm at the cost
-  // of building child vectors.
+  // some clause literal) already holds changes nothing, which addSide()
+  // and the assertion below would only confirm.
   bool AllExist = true, Holds = false;
   for (const AxiomLiteral &L : A.Body) {
-    std::optional<ClassId> Lhs = lookup(G, A, L.Lhs, Bindings);
-    std::optional<ClassId> Rhs = Lhs ? lookup(G, A, L.Rhs, Bindings)
-                                     : std::nullopt;
+    std::optional<ClassId> Lhs = lookupSide(G, A, L.LhsProgram, Bindings);
+    std::optional<ClassId> Rhs =
+        Lhs ? lookupSide(G, A, L.RhsProgram, Bindings) : std::nullopt;
     if (!Rhs) {
       AllExist = false;
       break;
@@ -413,8 +398,8 @@ bool Matcher::assertInstance(EGraph &G, const Axiom &A, uint32_t AxiomIdx,
   uint64_t Before = G.version();
   if (A.Body.size() == 1) {
     const AxiomLiteral &L = A.Body[0];
-    ClassId Lhs = instantiate(G, A, L.Lhs, Bindings);
-    ClassId Rhs = instantiate(G, A, L.Rhs, Bindings);
+    ClassId Lhs = addSide(G, A, L.LhsProgram, Bindings);
+    ClassId Rhs = addSide(G, A, L.RhsProgram, Bindings);
     if (L.IsEq) {
       if (G.provenanceEnabled())
         G.assertEqual(
@@ -436,8 +421,8 @@ bool Matcher::assertInstance(EGraph &G, const Axiom &A, uint32_t AxiomIdx,
   Lits.reserve(A.Body.size());
   bool Satisfied = false;
   for (const AxiomLiteral &L : A.Body) {
-    ClassId Lhs = instantiate(G, A, L.Lhs, Bindings);
-    ClassId Rhs = instantiate(G, A, L.Rhs, Bindings);
+    ClassId Lhs = addSide(G, A, L.LhsProgram, Bindings);
+    ClassId Rhs = addSide(G, A, L.RhsProgram, Bindings);
     if (L.IsEq ? G.sameClass(Lhs, Rhs) : G.areDistinct(Lhs, Rhs))
       Satisfied = true;
     Lits.push_back(L.IsEq ? Literal::eq(Lhs, Rhs) : Literal::ne(Lhs, Rhs));
@@ -644,7 +629,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       Scratch.resize(NumVars);
       uint64_t Raw = 0;
       bool Truncated = false;
-      auto OnMatch = [&](const std::vector<ClassId> &Bs) {
+      auto OnMatch = [&](const ClassId *Bs) {
         // Raw match budget + 1 is counted: it is what proves the overflow.
         ++Raw;
         if (Budget && Raw > Budget) {
@@ -676,8 +661,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         if (Roots.empty())
           continue;
         const int64_t T0 = obs::nowNs();
-        Engine.run(A, A.Triggers[T], Roots,
-                   SemiNaive ? Delta.data() : nullptr, OnMatch);
+        Engine.run(A, T, Roots, SemiNaive ? Delta.data() : nullptr, OnMatch);
         AP.MatchNs += static_cast<uint64_t>(obs::nowNs() - T0);
       }
       Stats.MatchesFound += Raw;

@@ -10,8 +10,14 @@
 /// E-matching searches whole equivalence classes: the pattern k * 2**n
 /// matches reg6 * 4 once 4's class also contains 2**2 — precisely the
 /// Figure 2 scenario. A class is searched through its operator view
-/// (EGraph::forEachClassNodeWithOp), which each round refreshes before it
-/// enumerates: the members with the pattern's operator, in member order.
+/// (EGraph::opView), which each round refreshes before it enumerates: the
+/// members with the pattern's operator, in member order.
+///
+/// Every axiom comes compiled (match/Axiom.h): a trigger is a pre-order
+/// match program, run from each root by one loop that backtracks to the
+/// latest step with candidates left, so matches come out depth first,
+/// left to right; a literal side is a post-order program, run with
+/// hash-cons lookups to check an instance and with additions to build it.
 ///
 /// Scaling machinery (Caviar-style saturation scheduling):
 ///   * **Semi-naive matching** — an axiom whose last round enumerated every
@@ -206,21 +212,20 @@ private:
   // taken back out so a later round can find them again.
   InstanceSet Done;
 
-  // Scratch stacks of lookup() and instantiate(), reused across
-  // instances: a pattern walk's frames and the classes of its finished
-  // subpatterns.
-  std::vector<std::pair<PatternId, size_t>> WalkStack;
-  std::vector<egraph::ClassId> WalkValues;
+  // The value stack of the side programs, reused across instances.
+  std::vector<egraph::ClassId> SideValues;
 
-  /// \p Bindings holds one class per variable of \p A, here and below.
-  egraph::ClassId instantiate(egraph::EGraph &G, const Axiom &A, PatternId P,
-                              const egraph::ClassId *Bindings);
+  /// Adds the literal side that program \p P of \p A builds under
+  /// \p Bindings (one class per variable of \p A, here and below).
+  /// \returns its class.
+  egraph::ClassId addSide(egraph::EGraph &G, const Axiom &A, PatternProgram P,
+                          const egraph::ClassId *Bindings);
 
-  /// The class pattern \p P denotes under \p Bindings when every node it
-  /// needs already exists; std::nullopt when instantiate() would add one.
-  std::optional<egraph::ClassId> lookup(const egraph::EGraph &G,
-                                        const Axiom &A, PatternId P,
-                                        const egraph::ClassId *Bindings);
+  /// The class of that side when every node it needs already exists;
+  /// std::nullopt when addSide() would add one.
+  std::optional<egraph::ClassId> lookupSide(const egraph::EGraph &G,
+                                            const Axiom &A, PatternProgram P,
+                                            const egraph::ClassId *Bindings);
 
   /// Asserts one axiom instance. An instance whose nodes all exist and
   /// whose literal (or some clause literal) already holds is answered by

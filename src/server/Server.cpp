@@ -314,12 +314,13 @@ std::string denali::server::formatResponse(const ServerResponse &R,
                                            bool PrintProgram) {
   if (!R.Result.Error.empty())
     return "(error \"" + obs::jsonEscape(R.Result.Error) + "\")";
-  std::string Name =
-      R.Result.Gma.Name.empty() ? std::string("unnamed") : R.Result.Gma.Name;
-  std::string Line =
-      strFormat("(ok %s :cycles %u :source %s :seconds %.6f", Name.c_str(),
-                R.Result.Search.Cycles, resultSourceName(R.Source),
-                R.Seconds);
+  // The name is concatenated, not formatted: a symbol may hold a NUL
+  // byte, and %s would cut it there.
+  std::string Line = "(ok ";
+  Line += R.Result.Gma.Name.empty() ? "unnamed" : R.Result.Gma.Name;
+  Line += strFormat(" :cycles %u :source %s :seconds %.6f",
+                    R.Result.Search.Cycles, resultSourceName(R.Source),
+                    R.Seconds);
   if (PrintProgram)
     Line +=
         " :program \"" + obs::jsonEscape(R.Result.Search.Program.toString()) +

@@ -4,6 +4,7 @@
 #include "egraph/EGraph.h"
 
 #include "ir/Eval.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -555,10 +556,10 @@ TEST_F(EGraphTest, ProvenanceRecordedAcrossDeferredRebuild) {
 }
 
 //===----------------------------------------------------------------------===
-// Operator views: forEachClassNodeWithOp visits exactly the nodes
-// forEachClassNode visits that carry the operator, in the same order,
-// whatever unions, congruence retirements and constant folds did to the
-// class, under both rebuild disciplines.
+// Operator views: opView lists exactly the nodes forEachClassNode visits
+// that carry the operator, in the same order, whatever unions, congruence
+// retirements and constant folds did to the class, under both rebuild
+// disciplines.
 //===----------------------------------------------------------------------===
 
 class OpViewTest : public ::testing::TestWithParam<RebuildMode> {
@@ -586,7 +587,8 @@ protected:
   }
   std::vector<ENodeId> view(ClassId C, ir::OpId Op) {
     std::vector<ENodeId> Out;
-    G.forEachClassNodeWithOp(C, Op, [&](ENodeId N) { Out.push_back(N); });
+    for (const EGraph::OpMember &M : G.opView(C, Op))
+      Out.push_back(M.Node);
     return Out;
   }
 
@@ -754,6 +756,52 @@ TEST_F(EGraphTest, GraphvizDump) {
   EXPECT_NE(Dot.find("cluster_"), std::string::npos);
   // Both alternatives live in one cluster: they share a class id label.
   EXPECT_NE(Dot.find("->"), std::string::npos);
+}
+
+TEST_F(EGraphTest, FiveChildOperatorHashConsesRepairsAndMerges) {
+  // No builtin has more than three operands; a declared one can.
+  G.setRebuildMode(RebuildMode::Deferred);
+  const ir::OpId F = Ctx.Ops.declareOp("f5", 5);
+  ClassId A = v("a"), B = v("b"), C = v("c"), D = v("d"), E = v("e"),
+          E2 = v("e2");
+  ClassId N1 = G.addNode(F, {A, B, C, D, E});
+  ClassId N2 = G.addNode(F, {A, B, C, D, E2});
+  EXPECT_NE(G.find(N1), G.find(N2));
+  const size_t Before = G.numNodes();
+  EXPECT_EQ(G.find(G.addNode(F, {A, B, C, D, E})), G.find(N1));
+  EXPECT_EQ(G.numNodes(), Before);
+  const ClassId Kids[5] = {A, B, C, D, E2};
+  ASSERT_TRUE(G.lookupNode(F, Kids, 5).has_value());
+  EXPECT_EQ(*G.lookupNode(F, Kids, 5), G.find(N2));
+  // Enough further nodes that the node table moves every node at least
+  // once, each over a fresh class of five operands.
+  std::vector<ClassId> Fresh;
+  for (int I = 0; I < 300; ++I) {
+    ClassId X = v(strFormat("x%d", I));
+    Fresh.push_back(G.addNode(F, {X, X, A, X, X}));
+  }
+  // e = e2 makes the two nodes congruent: the rebuild's repair rewrites
+  // one node's children and retires it against its twin.
+  G.assertEqual(E, E2);
+  G.rebuild();
+  EXPECT_TRUE(G.sameClass(N1, N2));
+  std::vector<ENodeId> Live;
+  G.forEachClassNode(N1, [&](ENodeId N) {
+    if (G.node(N).Op == F)
+      Live.push_back(N);
+  });
+  ASSERT_EQ(Live.size(), 1u);
+  const ENode &Kept = G.node(Live[0]);
+  ASSERT_EQ(Kept.Children.size(), 5u);
+  const ClassId Want[5] = {G.find(A), G.find(B), G.find(C), G.find(D),
+                           G.find(E)};
+  EXPECT_TRUE(std::equal(Kept.Children.begin(), Kept.Children.end(), Want));
+  EXPECT_EQ(*G.lookupNode(F, Kids, 5), G.find(N1));
+  for (int I = 0; I < 300; ++I) {
+    ClassId X = G.find(v(strFormat("x%d", I)));
+    const ClassId Same[5] = {X, X, A, X, X};
+    ASSERT_EQ(G.lookupNode(F, Same, 5), G.find(Fresh[I])) << I;
+  }
 }
 
 } // namespace

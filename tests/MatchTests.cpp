@@ -5,9 +5,11 @@
 #include "match/Elaborate.h"
 #include "match/Matcher.h"
 #include "sexpr/Parser.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 using namespace denali;
@@ -170,6 +172,86 @@ TEST(AxiomParse, TriggerHeightsFollowTheTriggers) {
   EXPECT_EQ(Sel.TriggerHeights, (std::vector<uint32_t>{2}));
   Axiom Ground = parseOk(Ctx, R"((\axiom (eq reg7 0)))");
   EXPECT_TRUE(Ground.TriggerHeights.empty());
+}
+
+/// The pattern nodes of \p Root, by explicit stack.
+size_t patternSize(const Axiom &A, PatternId Root) {
+  size_t Size = 0;
+  std::vector<PatternId> Stack{Root};
+  while (!Stack.empty()) {
+    const PatternNode &N = A.pattern(Stack.back());
+    Stack.pop_back();
+    ++Size;
+    Stack.insert(Stack.end(), N.Children.begin(), N.Children.end());
+  }
+  return Size;
+}
+
+TEST(AxiomParse, EveryBuiltinAxiomIsCompiledOncePerPatternNode) {
+  // A trigger's match program has one step per node below its root; a
+  // literal side's program one step per node. Each program starts where
+  // the one before it ends, in one step array per axiom.
+  ir::Context Ctx;
+  const std::vector<Axiom> Axioms = axioms::loadBuiltinAxioms(Ctx);
+  ASSERT_GT(Axioms.size(), 50u);
+  for (const Axiom &A : Axioms) {
+    SCOPED_TRACE(A.Name);
+    ASSERT_EQ(A.TriggerPrograms.size(), A.Triggers.size());
+    uint32_t Next = 0;
+    for (size_t T = 0; T < A.Triggers.size(); ++T) {
+      const PatternProgram P = A.TriggerPrograms[T];
+      EXPECT_EQ(P.Begin, Next);
+      EXPECT_EQ(P.Size, patternSize(A, A.Triggers[T]) - 1);
+      for (uint32_t I = 0; I < P.Size; ++I)
+        EXPECT_NE(A.steps(P)[I].TheKind, PatternStep::Kind::App);
+      Next = P.Begin + P.Size;
+    }
+    for (const AxiomLiteral &L : A.Body) {
+      for (auto [Side, P] : {std::pair{L.Lhs, L.LhsProgram},
+                             std::pair{L.Rhs, L.RhsProgram}}) {
+        EXPECT_EQ(P.Begin, Next);
+        EXPECT_EQ(P.Size, patternSize(A, Side));
+        for (uint32_t I = 0; I < P.Size; ++I)
+          EXPECT_NE(A.steps(P)[I].TheKind, PatternStep::Kind::Bind);
+        Next = P.Begin + P.Size;
+      }
+    }
+    EXPECT_EQ(A.Steps.size(), Next);
+  }
+}
+
+TEST(AxiomParse, AMatchProgramReadsItsTriggerInPreOrder) {
+  ir::Context Ctx;
+  Axiom A = parseOk(Ctx, R"((\axiom (forall (a i x j)
+      (pats (\select (\store a i x) j))
+      (or (eq i j) (eq (\select (\store a i x) j) (\select a j))))))");
+  ASSERT_EQ(A.TriggerPrograms.size(), 1u);
+  const PatternProgram P = A.TriggerPrograms[0];
+  ASSERT_EQ(P.Size, 5u);
+  const PatternStep *S = A.steps(P);
+  using K = PatternStep::Kind;
+  // (store a i x) in the root's slot 0, held in register 1; its operands
+  // bind a, i and x; j is the root's slot 1.
+  EXPECT_EQ(S[0].TheKind, K::Bind);
+  EXPECT_EQ(S[0].Value, Ctx.Ops.builtin(Builtin::Store));
+  EXPECT_EQ(S[0].Node, 0u);
+  EXPECT_EQ(S[0].Slot, 0u);
+  for (uint32_t I = 1; I <= 3; ++I) {
+    EXPECT_EQ(S[I].TheKind, K::Var);
+    EXPECT_EQ(S[I].Node, 1u);
+    EXPECT_EQ(S[I].Slot, I - 1);
+    EXPECT_FALSE(S[I].Repeat);
+  }
+  EXPECT_EQ(S[4].TheKind, K::Var);
+  EXPECT_EQ(S[4].Node, 0u);
+  EXPECT_EQ(S[4].Slot, 1u);
+  // A variable's second use compares with its first.
+  Ctx.Ops.declareOp("dup", 2);
+  Axiom Dup = parseOk(Ctx, R"((\axiom (forall (x) (pats (dup x x))
+                               (eq (dup x x) x))))");
+  const PatternStep *D = Dup.steps(Dup.TriggerPrograms[0]);
+  EXPECT_FALSE(D[0].Repeat);
+  EXPECT_TRUE(D[1].Repeat);
 }
 
 //===----------------------------------------------------------------------===
@@ -430,6 +512,111 @@ TEST_F(SaturationTest, FuelLimitStopsExplosion) {
   MatchStats Stats = M.saturate(G, Limits);
   EXPECT_FALSE(Stats.Quiesced);
   EXPECT_LE(G.numNodes(), Limits.MaxNodes + 4096); // Rebuild slack.
+}
+
+//===----------------------------------------------------------------------===
+// Match order: a round's matches come out depth first, pre-order and left
+// to right over the trigger, each class's candidates in member order, so a
+// budget or the instance cap keeps exactly the first k of that order.
+//===----------------------------------------------------------------------===
+
+TEST(MatchOrder, ACutKeepsTheFirstMatchesInScanOrder) {
+  // A trigger with a nested application, a repeated variable and a
+  // constant leaf; each instance creates its h(x, y).
+  const std::string Text =
+      R"((\axiom (forall (x y) (pats (f (g x y) x 3))
+            (eq (f (g x y) x 3) (h x y)))))";
+  // The matches in scan order: the f roots in id order, and within the
+  // first root the class {g(a,b), g(a,c)} in member order, which is not
+  // id order (g(a,c) was added first; the union kept g(a,b)'s class).
+  const std::vector<std::pair<std::string, std::string>> Order = {
+      {"a", "b"}, {"a", "c"}, {"d", "e"}, {"c", "d"}, {"e", "a"}};
+  for (bool ByCap : {false, true}) {
+    for (size_t K = 0; K <= Order.size(); ++K) {
+      if (!ByCap && K == 0)
+        continue; // A budget of 0 is no budget.
+      SCOPED_TRACE(strFormat("%s %zu", ByCap ? "cap" : "budget", K));
+      ir::Context Ctx;
+      ir::OpId F = Ctx.Ops.declareOp("f", 3);
+      ir::OpId Gop = Ctx.Ops.declareOp("g", 2);
+      ir::OpId H = Ctx.Ops.declareOp("h", 2);
+      std::vector<Axiom> Axioms = {parseOk(Ctx, Text)};
+      EGraph G(Ctx);
+      auto v = [&](const std::string &Name) {
+        return G.addNode(Ctx.Ops.makeVariable(Name), {});
+      };
+      ClassId A = v("a"), B = v("b"), C = v("c"), D = v("d"), E = v("e");
+      ClassId Three = G.addConst(3), Four = G.addConst(4);
+      ClassId GAC = G.addNode(Gop, {A, C});
+      ClassId GAB = G.addNode(Gop, {A, B});
+      ClassId GDE = G.addNode(Gop, {D, E});
+      G.assertEqual(GAB, GAC);
+      G.addNode(F, {GAB, A, Three});                   // (a,b), (a,c)
+      G.addNode(F, {GDE, D, Three});                   // (d,e)
+      G.addNode(F, {G.addNode(Gop, {B, C}), B, Four}); // Constant differs.
+      G.addNode(F, {G.addNode(Gop, {C, D}), C, Three}); // (c,d)
+      ClassId GEA = G.addNode(Gop, {E, A});
+      G.addNode(F, {GEA, B, Three}); // x differs.
+      G.addNode(F, {GEA, E, Three}); // (e,a)
+      Matcher M(Axioms);
+      MatchLimits Limits;
+      Limits.MaxRounds = 1;
+      if (ByCap)
+        Limits.MaxInstancesPerRound = K;
+      else
+        Limits.MatchBudget = K;
+      MatchStats S = M.saturate(G, Limits);
+      const bool Cut = K < Order.size();
+      EXPECT_EQ(S.MatchesFound, Cut ? K + 1 : Order.size());
+      EXPECT_EQ(S.BudgetOverflows, !ByCap && Cut ? 1u : 0u);
+      EXPECT_EQ(S.InstancesAsserted, K);
+      std::map<std::string, ClassId> Var = {
+          {"a", A}, {"b", B}, {"c", C}, {"d", D}, {"e", E}};
+      for (size_t I = 0; I < Order.size(); ++I) {
+        const ClassId XY[2] = {Var[Order[I].first], Var[Order[I].second]};
+        EXPECT_EQ(G.lookupNode(H, XY, 2).has_value(), I < K)
+            << "h(" << Order[I].first << ", " << Order[I].second << ")";
+      }
+    }
+  }
+}
+
+TEST(MatchOrder, ATriggerNestedNineHundredDeepMatchesAndInstantiates) {
+  // f^900(x) = h^900(x), under sexpr::MaxNesting with its wrapper forms:
+  // matching walks 900 classes down from each root, and the instance
+  // builds a 900-deep h chain.
+  constexpr int Depth = 900;
+  ir::Context Ctx;
+  ir::OpId F = Ctx.Ops.declareOp("f", 1);
+  ir::OpId H = Ctx.Ops.declareOp("h", 1);
+  auto chain = [&](const char *Op) {
+    std::string S;
+    for (int I = 0; I < Depth; ++I)
+      S += std::string("(") + Op + " ";
+    return S + "x" + std::string(Depth, ')');
+  };
+  const std::string Fx = chain("f");
+  std::vector<Axiom> Axioms = {parseOk(
+      Ctx, "(\\axiom (forall (x) (pats " + Fx + ") (eq " + Fx + " " +
+               chain("h") + ")))")};
+  ASSERT_EQ(Axioms[0].TriggerHeights, (std::vector<uint32_t>{Depth}));
+  ir::TermId A = Ctx.Terms.makeVar("a");
+  ir::TermId FA = A, HA = A;
+  for (int I = 0; I < Depth; ++I) {
+    FA = Ctx.Terms.make(F, {FA});
+    HA = Ctx.Terms.make(H, {HA});
+  }
+  EGraph G(Ctx);
+  ClassId Top = G.addTerm(FA);
+  ASSERT_EQ(G.numNodes(), static_cast<size_t>(Depth + 1));
+  Matcher M(Axioms);
+  MatchStats S = M.saturate(G);
+  EXPECT_TRUE(S.Quiesced);
+  EXPECT_EQ(S.InstancesAsserted, 1u);
+  EXPECT_EQ(G.numNodes(), static_cast<size_t>(2 * Depth + 1));
+  // The h chain exists already: adding it finds it.
+  EXPECT_TRUE(G.sameClass(G.addTerm(HA), Top));
+  EXPECT_EQ(G.numNodes(), static_cast<size_t>(2 * Depth + 1));
 }
 
 //===----------------------------------------------------------------------===

@@ -743,8 +743,8 @@ size_t expectOpViewsMatchScans(egraph::EGraph &G, const std::string &When) {
       for (egraph::ENodeId N : Scan)
         if (G.node(N).Op == Op)
           Want.push_back(N);
-      G.forEachClassNodeWithOp(C, Op,
-                               [&](egraph::ENodeId N) { Got.push_back(N); });
+      for (const egraph::EGraph::OpMember &M : G.opView(C, Op))
+        Got.push_back(M.Node);
       EXPECT_EQ(Got, Want) << "class " << C << ", op " << Op;
       ++Compared;
     }

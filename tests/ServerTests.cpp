@@ -666,6 +666,29 @@ TEST(ServerTest, ServeAnswersInOrderAndHandlesVerbs) {
   EXPECT_NE(Lines[4].find(":source hit"), std::string::npos) << Lines[4];
 }
 
+// A symbol holds any byte but a delimiter: an answer carries a GMA's
+// whole name, NUL bytes included, cold or from the cache.
+TEST(ServerTest, ServeAnswersWithTheWholeNameOfAGma) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  CompileServer Server(SO);
+  const std::string Nul(1, '\0');
+  std::istringstream In("(gma a" + Nul + "b (assign r (add64 x 1)))\n" +
+                        "(gma c" + Nul + "d (assign s (add64 y 1)))\n");
+  std::ostringstream Out;
+  EXPECT_EQ(Server.serve(In, Out), 0);
+  std::vector<std::string> Lines;
+  std::istringstream Split(Out.str());
+  for (std::string L; std::getline(Split, L);)
+    Lines.push_back(L);
+  ASSERT_EQ(Lines.size(), 2u) << Out.str();
+  const std::string Cold = "(ok a" + Nul + "b :cycles 1 :source cold ";
+  const std::string Hit = "(ok c" + Nul + "d :cycles 1 :source hit ";
+  EXPECT_EQ(Lines[0].compare(0, Cold.size(), Cold), 0) << Lines[0];
+  EXPECT_EQ(Lines[1].compare(0, Hit.size(), Hit), 0) << Lines[1];
+}
+
 /// A request whose parentheses nest \p Depth deep, the gma and assign
 /// forms included: (gma <Name> (assign r (not64 (not64 ... a)))).
 std::string nestedRequest(const std::string &Name, unsigned Depth) {

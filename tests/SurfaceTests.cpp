@@ -3,6 +3,8 @@
 #include "driver/Superoptimizer.h"
 #include "gma/GMA.h"
 #include "lang/Surface.h"
+#include "sexpr/Parser.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -357,6 +359,49 @@ r<0>, r<1> := x<1>, x<0> ;
 \end
 )", "two byte-writes");
   parseFail("wibble", "expected \\op");
+}
+
+TEST(Surface, ExpressionNestingIsBoundedLikeTheSExpressionReader) {
+  // Parentheses and unary operators both nest by recursion. At
+  // sexpr::MaxNesting levels the expression reads; one more is an error at
+  // the opening token that goes too deep. "\res := " is 8 columns wide.
+  const unsigned Max = sexpr::MaxNesting;
+  auto proc = [](const std::string &Expr) {
+    return "\\proc deep : [ a : long ] -> long =\n\\res := " + Expr +
+           "\n\\end\n";
+  };
+  auto parens = [](unsigned N) {
+    return std::string(N, '(') + "a" + std::string(N, ')');
+  };
+  auto negations = [](unsigned N) { return std::string(N, '-') + "a"; };
+  auto calls = [](unsigned N) {
+    std::string S;
+    for (unsigned I = 0; I < N; ++I)
+      S += "\\not64(";
+    return S + "a" + std::string(N, ')');
+  };
+  EXPECT_EQ(resultTerm(proc(parens(Max))), "a");
+  std::string Neg = resultTerm(proc(negations(Max)));
+  EXPECT_EQ(Neg.size(), 7 * Max + 1 + Max); // "(neg64 " ... "a" ... ")"
+  EXPECT_EQ(Neg.compare(0, 14, "(neg64 (neg64 "), 0) << Neg.substr(0, 40);
+  parseOk(proc(calls(Max)));
+  for (unsigned Extra : {1u, 60000u}) {
+    SCOPED_TRACE(Extra);
+    std::string Err;
+    EXPECT_FALSE(parseSurfaceModule(proc(parens(Max + Extra)), &Err));
+    EXPECT_EQ(Err, strFormat("2:%u: expression nested deeper than %u (at "
+                             "'(')",
+                             9 + Max, Max));
+    EXPECT_FALSE(parseSurfaceModule(proc(negations(Max + Extra)), &Err));
+    EXPECT_EQ(Err, strFormat("2:%u: expression nested deeper than %u (at "
+                             "'-')",
+                             9 + Max, Max));
+    // "\not64(" is 7 columns wide; the error is at its parenthesis.
+    EXPECT_FALSE(parseSurfaceModule(proc(calls(Max + Extra)), &Err));
+    EXPECT_EQ(Err, strFormat("2:%u: expression nested deeper than %u (at "
+                             "'(')",
+                             9 + 7 * Max + 6, Max));
+  }
 }
 
 TEST(Surface, TwoByteSwapEndToEnd) {
