@@ -10,8 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "axioms/BuiltinAxioms.h"
-#include "egraph/Analysis.h"
 #include "egraph/EGraph.h"
+#include "explain/Explain.h"
 #include "match/Elaborate.h"
 #include "match/Matcher.h"
 
@@ -39,7 +39,7 @@ int main() {
   ClassId Goal =
       G.addNode(Ctx.Ops.builtin(ir::Builtin::Add64), {Mul, G.addConst(1)});
 
-  if (!writeFile("fig2_initial.dot", toGraphviz(G))) {
+  if (!writeFile("fig2_initial.dot", explain::egraphToDot(G))) {
     std::printf("cannot write fig2_initial.dot\n");
     return 1;
   }
@@ -52,7 +52,7 @@ int main() {
     M.addElaborator(std::move(E));
   match::MatchStats Stats = M.saturate(G);
 
-  if (!writeFile("fig2_saturated.dot", toGraphviz(G))) {
+  if (!writeFile("fig2_saturated.dot", explain::egraphToDot(G))) {
     std::printf("cannot write fig2_saturated.dot\n");
     return 1;
   }

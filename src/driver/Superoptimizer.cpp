@@ -202,8 +202,8 @@ SaturatedGma Superoptimizer::saturateGMA(const gma::GMA &G) const {
     S.GuardClass = Graph->find(*S.GuardClass);
 
   // Freeze: fully compress every union-find path so subsequent const
-  // queries perform no writes — the property concurrent readers (the
-  // compile server's warm-graph serving) rely on.
+  // queries perform no writes, and one SaturatedGma may serve concurrent
+  // compileSaturated() calls (ServerTest.SaturateOnceCompileManyConcurrently).
   Graph->compressPaths();
   S.Graph = std::move(Graph);
   return S;
@@ -212,7 +212,8 @@ SaturatedGma Superoptimizer::saturateGMA(const gma::GMA &G) const {
 GmaResult Superoptimizer::compileSaturated(const SaturatedGma &S,
                                            const gma::GMA &G) const {
   // Counted here rather than in compileGMA so every compile path (direct,
-  // server cold tier, warm-graph replay) lands in the per-backend counter.
+  // the server's cold compiles, a test's search of a saturated graph)
+  // lands in the per-backend counter.
   obs::Registry::global().counter("driver.compile." + Opts.MachineName).add();
   GmaResult Result;
   Result.Gma = G;

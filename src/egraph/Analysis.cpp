@@ -134,36 +134,3 @@ ClassValuation denali::egraph::evaluateClasses(const EGraph &G,
   }
   return Out;
 }
-
-std::string denali::egraph::toGraphviz(const EGraph &G) {
-  const ir::Context &Ctx = G.context();
-  std::string Out = "digraph egraph {\n  compound=true;\n"
-                    "  node [shape=box, fontname=\"monospace\"];\n";
-  for (ClassId C : G.canonicalClasses()) {
-    Out += strFormat("  subgraph cluster_%u {\n    label=\"c%u\";\n", C, C);
-    for (ENodeId N : G.classNodes(C)) {
-      const ENode &Node = G.node(N);
-      std::string Label = Ctx.Ops.isConst(Node.Op)
-                              ? formatConstant(Node.ConstVal)
-                              : Ctx.Ops.info(Node.Op).Name;
-      Out += strFormat("    n%u [label=\"%s\"];\n", N, Label.c_str());
-    }
-    Out += "  }\n";
-  }
-  for (ClassId C : G.canonicalClasses()) {
-    for (ENodeId N : G.classNodes(C)) {
-      const ENode &Node = G.node(N);
-      for (size_t I = 0; I < Node.Children.size(); ++I) {
-        ClassId Child = G.find(Node.Children[I]);
-        // Point at a representative node of the child class.
-        std::vector<ENodeId> Members = G.classNodes(Child);
-        if (Members.empty())
-          continue;
-        Out += strFormat("  n%u -> n%u [lhead=cluster_%u, label=\"%zu\"];\n",
-                         N, Members.front(), Child, I);
-      }
-    }
-  }
-  Out += "}\n";
-  return Out;
-}

@@ -50,10 +50,6 @@ struct ClassValuation {
 ClassValuation evaluateClasses(const EGraph &G, const ir::Env &Bindings,
                                const ir::Definitions *Defs = nullptr);
 
-/// Renders \p G as Graphviz dot (classes as clusters of their nodes,
-/// edges from node operands to child classes) — the pictures of Figure 2.
-std::string toGraphviz(const EGraph &G);
-
 } // namespace egraph
 } // namespace denali
 

@@ -324,8 +324,9 @@ public:
   /// Fully compresses the union-find so subsequent find() calls are pure
   /// reads. Until the next merge, the const query interface (find,
   /// classConstant, classNodes, areDistinct, ...) is then safe to call
-  /// concurrently from many threads — required by the compile server,
-  /// whose workers read one frozen E-graph.
+  /// concurrently from many threads. The driver freezes every saturated
+  /// graph so; ServerTest.SaturateOnceCompileManyConcurrently reads one
+  /// from several threads.
   void compressPaths() const { UF.compressAll(); }
 
   /// True if A and B are constrained uncombinable, either explicitly or

@@ -34,7 +34,7 @@ public:
       // Path halving (works with a const table since we only ever shortcut
       // to an ancestor; Parent is mutable). The write is skipped when it
       // would not shorten the path, so after compressAll() a find() is
-      // purely a read — the property concurrent readers rely on.
+      // purely a read and concurrent find() calls do not race.
       uint32_t P = Parent[X];
       uint32_t GP = Parent[P];
       if (GP != P)
@@ -46,8 +46,8 @@ public:
 
   /// Fully compresses every path: afterwards (and until the next unite)
   /// find() performs no writes, making concurrent find() calls from many
-  /// threads safe. The compile server runs this before handing a const
-  /// E-graph to worker threads.
+  /// threads safe. The driver runs this on every saturated E-graph
+  /// (EGraph::compressPaths()).
   void compressAll() const {
     for (size_t I = 0; I < Parent.size(); ++I)
       Parent[I] = find(static_cast<uint32_t>(I));

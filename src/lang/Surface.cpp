@@ -193,22 +193,24 @@ private:
     return false;
   }
 
-  /// Expressions nest by recursion: parentheses (grouping, calls, \cast
-  /// and \ite) and unary operators each parse their operands one level
-  /// deeper. As in the S-expression reader, a level past
+  /// Expressions and statements nest by recursion: parentheses
+  /// (grouping, calls, \cast and \ite) and unary operators each parse
+  /// their operands one level deeper, and \var, \do and \if their
+  /// bodies. As in the S-expression reader, a level past
   /// sexpr::MaxNesting is a parse error at its opening token, not a stack
-  /// overflow, and no later stage sees a deeper expression.
+  /// overflow, and no later stage sees a deeper procedure.
   unsigned Depth = 0;
 
-  /// One level of expression nesting, held while its operands parse.
+  /// One level of nesting, held while its operands or body parse.
   class Nested {
   public:
-    Nested(SurfaceParser &P, const Token &Open)
+    Nested(SurfaceParser &P, const Token &Open,
+           const char *What = "expression")
         : P(P), Ok(P.Depth < sexpr::MaxNesting) {
       if (Ok)
         ++P.Depth;
       else
-        P.fail(Open, strFormat("expression nested deeper than %u",
+        P.fail(Open, strFormat("%s nested deeper than %u", What,
                                sexpr::MaxNesting));
     }
     ~Nested() {
@@ -747,6 +749,13 @@ private:
 
   StmtPtr parseStmt() {
     const Token &T = Lex.peek();
+    // \var, \do and \if each parse their body one level deeper.
+    std::optional<Nested> Body;
+    if (T.is("\\var") || T.is("\\do") || T.is("\\if")) {
+      Body.emplace(*this, T, "statement");
+      if (!*Body)
+        return nullptr;
+    }
     if (T.is("\\var")) {
       Lex.take();
       auto S = std::make_unique<Stmt>();

@@ -1,19 +1,19 @@
-//===- server/Cache.h - Sharded LRU maps for the compile server -*- C++ -*-===//
+//===- server/Cache.h - The compile server's result cache ------*- C++ -*-===//
 ///
 /// \file
-/// A byte-capped, sharded LRU map from Key128 to shared immutable values:
-/// the compile server's canonical-GMA result cache. Shards are
-/// independent (key's high bits pick the shard), each with its own mutex,
-/// intrusive LRU list, and byte budget — so concurrent requests only
-/// contend when they land on the same shard.
+/// A byte-capped LRU map from canonical GMA text to shared immutable
+/// values: the compile server's result cache. One mutex guards one
+/// recency list and one hash index keyed by the text itself, so a hit is
+/// an exact match of the text and two texts never share an entry. Each
+/// entry stores its text once; the index refers to it.
+///
+/// The cap bounds the summed cost of all live entries. An entry whose cost
+/// alone is over the cap is not cached, and eviction drops the least
+/// recently used entries of the whole cache.
 ///
 /// Hit/miss/insert/evict counts are published both as obs counters
-/// (`<prefix>.hit` etc., visible in --metrics-out summaries) and as plain
-/// atomics for tests and the server's (stats) protocol verb.
-///
-/// Soundness: a Key128 match alone never serves a value — every entry
-/// stores its canonical identity text and get() compares it exactly, so
-/// a 128-bit hash collision degrades to a miss, never a wrong result.
+/// (`<prefix>.hit` etc., visible in --metrics-out summaries) and as
+/// CacheStats for tests and the server's (stats) protocol verb.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +21,8 @@
 #define DENALI_SERVER_CACHE_H
 
 #include "obs/Obs.h"
-#include "server/Canon.h"
 
-#include <atomic>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -34,7 +33,7 @@
 namespace denali {
 namespace server {
 
-/// Aggregate counters of one cache. Values are snapshots (relaxed reads).
+/// Aggregate counters of one cache, as one snapshot.
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -44,14 +43,12 @@ struct CacheStats {
   size_t Entries = 0;
 };
 
-template <typename V> class ShardedLruCache {
-  static constexpr size_t NumShards = 8;
-
+template <typename V> class LruCache {
 public:
   /// \p MaxBytes caps the summed cost of live entries (0 disables the
   /// cache entirely: get() always misses, put() is a no-op). \p Prefix
   /// names the obs counters, e.g. "server.cache".
-  ShardedLruCache(size_t MaxBytes, const std::string &Prefix)
+  LruCache(size_t MaxBytes, const std::string &Prefix)
       : MaxBytes(MaxBytes),
         HitCtr(obs::Registry::global().counter(Prefix + ".hit")),
         MissCtr(obs::Registry::global().counter(Prefix + ".miss")),
@@ -61,118 +58,77 @@ public:
 
   bool enabled() const { return MaxBytes > 0; }
 
-  /// Looks up \p K, verifying \p IdentityText exactly. A hit refreshes
-  /// the entry's LRU position and returns a shared pointer that stays
-  /// valid after eviction.
-  std::shared_ptr<const V> get(const Key128 &K, std::string_view IdentityText) {
+  /// Looks up \p Text. A hit refreshes the entry's LRU position and
+  /// returns a shared pointer that stays valid after eviction.
+  std::shared_ptr<const V> get(std::string_view Text) {
     if (!enabled())
       return nullptr;
-    Shard &S = shard(K);
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Index.find(K);
-    if (It == S.Index.end() || It->second->Identity != IdentityText) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Index.find(Text);
+    if (It == Index.end()) {
       MissCtr.add();
-      Misses.fetch_add(1, std::memory_order_relaxed);
+      ++Stats.Misses;
       return nullptr;
     }
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    Lru.splice(Lru.begin(), Lru, It->second);
     HitCtr.add();
-    Hits.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.Hits;
     return It->second->Value;
   }
 
-  /// Inserts \p Value under \p K with cost \p Bytes, evicting LRU entries
-  /// past the shard's budget. First writer wins: if \p K is already
-  /// present with the same identity (two threads raced on one miss), the
-  /// existing entry is kept so concurrent duplicates observe one result.
-  void put(const Key128 &K, std::string IdentityText,
-           std::shared_ptr<const V> Value, size_t Bytes) {
-    if (!enabled())
+  /// Inserts \p Value under \p Text with cost \p Bytes, evicting LRU
+  /// entries past the cap. First writer wins: if \p Text is already
+  /// present (two threads raced on one miss), the existing entry is kept
+  /// so concurrent duplicates observe one result.
+  void put(std::string Text, std::shared_ptr<const V> Value, size_t Bytes) {
+    if (!enabled() || Bytes > MaxBytes)
       return;
-    size_t ShardCap = MaxBytes / NumShards;
-    if (ShardCap == 0)
-      ShardCap = 1;
-    if (Bytes > ShardCap)
-      return; // Would evict the whole shard for one entry; skip.
-    Shard &S = shard(K);
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Index.find(K);
-    if (It != S.Index.end()) {
-      if (It->second->Identity == IdentityText)
-        return; // First writer won.
-      // Genuine 128-bit collision: replace — the old identity can re-cold
-      // compile. Vanishingly rare; counted as an eviction.
-      S.Bytes -= It->second->Bytes;
-      TotalBytes.fetch_sub(It->second->Bytes, std::memory_order_relaxed);
-      S.Lru.erase(It->second);
-      S.Index.erase(It);
-      EvictCtr.add();
-      Evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-    S.Lru.push_front(Entry{K, std::move(IdentityText), std::move(Value),
-                           Bytes});
-    S.Index[K] = S.Lru.begin();
-    S.Bytes += Bytes;
-    TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (Index.count(Text))
+      return; // First writer won.
+    Lru.push_front(Entry{std::move(Text), std::move(Value), Bytes});
+    Index.emplace(Lru.front().Text, Lru.begin());
+    Stats.Bytes += Bytes;
     InsertCtr.add();
-    Insertions.fetch_add(1, std::memory_order_relaxed);
-    while (S.Bytes > ShardCap && S.Lru.size() > 1) {
-      Entry &Old = S.Lru.back();
-      S.Bytes -= Old.Bytes;
-      TotalBytes.fetch_sub(Old.Bytes, std::memory_order_relaxed);
-      S.Index.erase(Old.Key);
-      S.Lru.pop_back();
+    ++Stats.Insertions;
+    // The new entry fits the cap alone, so this stops before reaching it.
+    while (Stats.Bytes > MaxBytes) {
+      Entry &Old = Lru.back();
+      Stats.Bytes -= Old.Bytes;
+      Index.erase(Old.Text);
+      Lru.pop_back();
       EvictCtr.add();
-      Evictions.fetch_add(1, std::memory_order_relaxed);
+      ++Stats.Evictions;
     }
-    publishBytes();
+    BytesGauge.set(static_cast<int64_t>(Stats.Bytes));
   }
 
   CacheStats stats() const {
-    CacheStats St;
-    St.Hits = Hits.load(std::memory_order_relaxed);
-    St.Misses = Misses.load(std::memory_order_relaxed);
-    St.Insertions = Insertions.load(std::memory_order_relaxed);
-    St.Evictions = Evictions.load(std::memory_order_relaxed);
-    for (const Shard &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S.Mu);
-      St.Bytes += S.Bytes;
-      St.Entries += S.Lru.size();
-    }
+    std::lock_guard<std::mutex> Lock(Mu);
+    CacheStats St = Stats;
+    St.Entries = Lru.size();
     return St;
   }
 
 private:
   struct Entry {
-    Key128 Key;
-    std::string Identity;
+    std::string Text;
     std::shared_ptr<const V> Value;
     size_t Bytes = 0;
   };
-  struct Shard {
-    mutable std::mutex Mu;
-    std::list<Entry> Lru; ///< Front = most recently used.
-    std::unordered_map<Key128, typename std::list<Entry>::iterator, Key128Hash>
-        Index;
-    size_t Bytes = 0;
-  };
-
-  Shard &shard(const Key128 &K) { return Shards[K.Hi % NumShards]; }
-
-  void publishBytes() {
-    BytesGauge.set(
-        static_cast<int64_t>(TotalBytes.load(std::memory_order_relaxed)));
-  }
 
   size_t MaxBytes;
-  Shard Shards[NumShards];
+  mutable std::mutex Mu;
+  std::list<Entry> Lru; ///< Front = most recently used.
+  /// Keys view the Text of their entry, which a list node never moves.
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
+      Index;
+  CacheStats Stats; ///< All but Entries, which is Lru.size().
   obs::Counter &HitCtr;
   obs::Counter &MissCtr;
   obs::Counter &InsertCtr;
   obs::Counter &EvictCtr;
   obs::Gauge &BytesGauge;
-  std::atomic<uint64_t> Hits{0}, Misses{0}, Insertions{0}, Evictions{0};
-  std::atomic<size_t> TotalBytes{0};
 };
 
 } // namespace server

@@ -158,28 +158,3 @@ CanonicalGma denali::server::canonicalizeGma(const ir::Context &Ctx,
   Out += ')';
   return C;
 }
-
-namespace {
-
-/// The splitmix64 finalizer.
-uint64_t mix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
-} // namespace
-
-Key128 denali::server::makeKey(std::string_view CanonText) {
-  // Two independent FNV-1a streams with distinct offset bases. Collisions
-  // are tolerable (lookups exact-compare the canonical text); the key
-  // only has to spread well across shards.
-  uint64_t A = 0xcbf29ce484222325ULL, B = 0x84222325cbf29ce4ULL;
-  for (unsigned char Ch : CanonText) {
-    A = (A ^ Ch) * 0x100000001b3ULL;
-    B = (B ^ Ch) * 0x100000001b3ULL;
-    B += B << 7;
-  }
-  return Key128{mix(A), mix(B)};
-}

@@ -12,13 +12,10 @@
 /// pre-interned GMA is a pure read on ir::Context and is safe to run
 /// concurrently with compiles and with another request's parse.
 ///
-/// Key derivation (documented in DESIGN.md §7):
-///   key = hash128(canonical text)
-/// and every cache entry stores the canonical text, which is compared
-/// exactly on lookup — the 128-bit hash only routes to a shard/bucket, so
-/// a hash collision can never serve a wrong result. No options fingerprint
-/// enters the key: a cache belongs to one server, whose options never
-/// change.
+/// The result cache is keyed by the canonical text itself (DESIGN.md §7):
+/// a lookup matches the whole text exactly, so two GMAs share an entry
+/// only when their texts are equal. No options fingerprint enters the
+/// key: a cache belongs to one server, whose options never change.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,31 +25,12 @@
 #include "gma/GMA.h"
 #include "ir/Term.h"
 
-#include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace denali {
 namespace server {
-
-/// A 128-bit cache key: two independent 64-bit hashes over the same
-/// bytes. Equality of keys is necessary but not sufficient for a cache
-/// hit — the canonical text is always compared too.
-struct Key128 {
-  uint64_t Hi = 0;
-  uint64_t Lo = 0;
-
-  bool operator==(const Key128 &O) const { return Hi == O.Hi && Lo == O.Lo; }
-  bool operator!=(const Key128 &O) const { return !(*this == O); }
-};
-
-struct Key128Hash {
-  size_t operator()(const Key128 &K) const {
-    return static_cast<size_t>(K.Hi ^ (K.Lo * 0x9e3779b97f4a7c15ULL));
-  }
-};
 
 /// The canonical identity of one GMA, plus the renaming that links it
 /// back to the original request.
@@ -78,9 +56,6 @@ struct CanonicalGma {
 
 /// Canonicalizes \p G. Pure read on \p Ctx (no interning).
 CanonicalGma canonicalizeGma(const ir::Context &Ctx, const gma::GMA &G);
-
-/// Hashes a canonical text into a 128-bit key.
-Key128 makeKey(std::string_view CanonText);
 
 } // namespace server
 } // namespace denali

@@ -193,9 +193,8 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
 
   // Canonicalization is a pure read on the shared Context; no lock.
   CanonicalGma C = canonicalizeGma(Opt.context(), G);
-  Key128 Key = makeKey(C.Text);
 
-  if (std::shared_ptr<const CachedResult> Hit = Results.get(Key, C.Text)) {
+  if (std::shared_ptr<const CachedResult> Hit = Results.get(C.Text)) {
     CacheServes.fetch_add(1, std::memory_order_relaxed);
     ServerResponse R;
     R.Result = renameResult(Hit->Result, Hit->Canon, G, C);
@@ -210,8 +209,14 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
   // the cache keeps whichever result is put first.
   ColdCompiles.fetch_add(1, std::memory_order_relaxed);
   driver::GmaResult R = Opt.compileGMA(G);
-  Results.put(Key, C.Text, std::make_shared<CachedResult>(CachedResult{R, C}),
-              approxResultBytes(R, C));
+  const size_t Bytes = approxResultBytes(R, C);
+  // The entry keeps what a hit serves (see CachedResult), and the text
+  // once, as its key.
+  std::string Text = std::move(C.Text);
+  auto Entry = std::make_shared<CachedResult>(CachedResult{R, std::move(C)});
+  Entry->Result.Gma = gma::GMA();
+  Entry->Result.Matching.PerAxiom = std::vector<obs::AxiomProfile>();
+  Results.put(std::move(Text), std::move(Entry), Bytes);
   ServerResponse Out;
   Out.Result = std::move(R);
   Out.Source = ResultSource::Cold;

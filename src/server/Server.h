@@ -5,10 +5,11 @@
 /// compile requests concurrently on a support::ThreadPool and answers
 /// each one from one of two tiers:
 ///
-///   1. **Result cache** — canonical-GMA -> GmaResult (sharded LRU under
-///      a --cache-bytes cap). An alpha-renamed / operand-commuted /
-///      source-renamed duplicate of any previously compiled GMA is served
-///      by a pure renaming of the cached program: no e-graph, no SAT.
+///   1. **Result cache** — canonical GMA text -> GmaResult (one LRU under
+///      one mutex and a --cache-bytes cap). An alpha-renamed /
+///      operand-commuted / source-renamed duplicate of any previously
+///      compiled GMA is served by a pure renaming of the cached program:
+///      no e-graph, no SAT.
 ///   2. **Cold compile** — the ordinary driver pipeline
 ///      (Superoptimizer::compileGMA), after which the result is cached.
 ///
@@ -146,9 +147,14 @@ public:
   obs::MetricsFlusher &metricsFlusher() { return Flusher; }
 
 private:
+  /// What a hit serves of its producer's cold answer.
   struct CachedResult {
-    driver::GmaResult Result; ///< In the producing request's name space.
-    CanonicalGma Canon;       ///< The producing request's renaming.
+    /// In the producing request's name space, without the GMA, which
+    /// every hit replaces with the request's, and without
+    /// Matching.PerAxiom, whose readers ran at the cold compile.
+    driver::GmaResult Result;
+    /// The producing request's renaming; its Text moved into the key.
+    CanonicalGma Canon;
   };
 
   /// The compile body (cache, else cold), run under the request's
@@ -163,7 +169,7 @@ private:
   driver::Superoptimizer Opt;
   support::ThreadPool Pool;
   std::mutex FrontEndMu; ///< Serializes interning (parse) on Opt's Context.
-  ShardedLruCache<CachedResult> Results;
+  LruCache<CachedResult> Results;
   std::atomic<uint64_t> Requests{0}, ParseErrors{0}, ColdCompiles{0},
       CacheServes{0}, SlowRequests{0};
   std::atomic<int64_t> InFlight{0};

@@ -1,6 +1,5 @@
 //===- tests/EGraphTests.cpp - E-graph unit & property tests --------------===//
 
-#include "egraph/Analysis.h"
 #include "egraph/EGraph.h"
 
 #include "ir/Eval.h"
@@ -745,18 +744,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EGraphRandomized,
 } // namespace
 
 namespace {
-
-TEST_F(EGraphTest, GraphvizDump) {
-  ClassId Mul = app(Builtin::Mul64, {v("reg6"), c(4)});
-  G.assertEqual(Mul, app(Builtin::Shl64, {v("reg6"), c(2)}));
-  std::string Dot = toGraphviz(G);
-  EXPECT_NE(Dot.find("digraph egraph"), std::string::npos);
-  EXPECT_NE(Dot.find("mul64"), std::string::npos);
-  EXPECT_NE(Dot.find("shl64"), std::string::npos);
-  EXPECT_NE(Dot.find("cluster_"), std::string::npos);
-  // Both alternatives live in one cluster: they share a class id label.
-  EXPECT_NE(Dot.find("->"), std::string::npos);
-}
 
 TEST_F(EGraphTest, FiveChildOperatorHashConsesRepairsAndMerges) {
   // No builtin has more than three operands; a declared one can.

@@ -12,6 +12,7 @@
 
 #include "driver/Superoptimizer.h"
 #include "support/Json.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -206,6 +207,33 @@ TEST(Explain, EGraphDumpsParse) {
     ASSERT_TRUE(C.field("class") && C.field("class")->isNumber());
     ASSERT_TRUE(C.field("nodes") && C.field("nodes")->isArray());
   }
+}
+
+TEST(Explain, EGraphDotPutsAlternativesInOneCluster) {
+  // reg6 * 4 = reg6 << 2: both nodes sit in one class's cluster, and
+  // their operand edges point into the children's clusters.
+  ir::Context Ctx;
+  egraph::EGraph Graph(Ctx);
+  auto App = [&](ir::Builtin B, std::vector<egraph::ClassId> Args) {
+    return Graph.addNode(Ctx.Ops.builtin(B), Args);
+  };
+  egraph::ClassId Reg6 = Graph.addNode(Ctx.Ops.makeVariable("reg6"), {});
+  egraph::ClassId Mul = App(ir::Builtin::Mul64, {Reg6, Graph.addConst(4)});
+  Graph.assertEqual(Mul, App(ir::Builtin::Shl64, {Reg6, Graph.addConst(2)}));
+
+  std::string Dot = explain::egraphToDot(Graph);
+  EXPECT_EQ(Dot.rfind("digraph egraph {", 0), 0u) << Dot;
+  const std::string Open =
+      strFormat("subgraph cluster_c%u {", Graph.find(Mul));
+  size_t Begin = Dot.find(Open);
+  ASSERT_NE(Begin, std::string::npos) << Dot;
+  std::string Cluster = Dot.substr(Begin, Dot.find("  }", Begin) - Begin);
+  EXPECT_NE(Cluster.find("[label=\"mul64\"]"), std::string::npos) << Cluster;
+  EXPECT_NE(Cluster.find("[label=\"shl64\"]"), std::string::npos) << Cluster;
+  EXPECT_NE(Dot.find(strFormat("[lhead=cluster_c%u, label=\"0\"]",
+                               Graph.find(Reg6))),
+            std::string::npos)
+      << Dot;
 }
 
 TEST(Explain, FocusedDumpRestrictsClasses) {

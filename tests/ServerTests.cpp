@@ -35,6 +35,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -67,7 +68,6 @@ TEST(CanonTest, AlphaRenameSameKeyAndText) {
   CanonicalGma CA = canonicalizeGma(Opt.context(), A);
   CanonicalGma CB = canonicalizeGma(Opt.context(), B);
   EXPECT_EQ(CA.Text, CB.Text);
-  EXPECT_EQ(makeKey(CA.Text), makeKey(CB.Text));
   // The renaming is recorded per request, in canonical first-use order
   // (the shape sort visits the (mul64 ? ?) operand before the bare
   // variable, so b/y lead).
@@ -105,7 +105,6 @@ TEST(CanonTest, DifferentStructureDifferentKey) {
   CanonicalGma CA = canonicalizeGma(Opt.context(), A);
   CanonicalGma CB = canonicalizeGma(Opt.context(), B);
   EXPECT_NE(CA.Text, CB.Text);
-  EXPECT_NE(makeKey(CA.Text), makeKey(CB.Text));
   // (sub64 b a) IS alpha-equivalent to (sub64 a b) — swapping the names
   // is a renaming, not a commutation — so it must share B's skeleton.
   gma::GMA C = parse(Opt, "(gma f (assign r (sub64 b a)))");
@@ -328,7 +327,7 @@ TEST(ServerTest, OversizedResultIsNotCachedAndRecompilesCold) {
   ServerOptions SO;
   SO.Pipeline = smallOptions();
   SO.Threads = 1;
-  SO.CacheBytes = 64; // Shard cap 8 bytes: every result is oversized.
+  SO.CacheBytes = 64; // Every result costs more than the whole cap.
   CompileServer Server(SO);
   const std::string Text = "(gma w (assign r (add64 a (xor64 b c))))";
 
@@ -428,6 +427,105 @@ TEST(ServerTest, CacheStaysWithinByteCap) {
   ServerResponse Again =
       Server.compileText("(gma e0 (assign r (add64 a 100)))");
   ASSERT_TRUE(Again.Result.ok()) << Again.Result.Error;
+}
+
+/// The cost of \p Text's cache entry, read off a server that holds only it.
+size_t entryBytes(const std::string &Text) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  CompileServer Server(SO);
+  EXPECT_TRUE(Server.compileText(Text).Result.ok()) << Text;
+  return Server.stats().ResultCache.Bytes;
+}
+
+// The cap bounds the whole cache, not a share of it: a cap of exactly one
+// entry's cost keeps that entry and serves it.
+TEST(ServerTest, EntryAsLargeAsTheCapIsCachedAndServed) {
+  const std::string Text = "(gma w (assign r (add64 a (xor64 b c))))";
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  SO.CacheBytes = entryBytes(Text);
+  ASSERT_GT(SO.CacheBytes, 0u);
+  CompileServer Server(SO);
+
+  ServerResponse Cold = Server.compileText(Text);
+  ASSERT_TRUE(Cold.Result.ok()) << Cold.Result.Error;
+  EXPECT_EQ(Cold.Source, ResultSource::Cold);
+  ServerResponse Hit = Server.compileText(Text);
+  ASSERT_TRUE(Hit.Result.ok()) << Hit.Result.Error;
+  EXPECT_EQ(Hit.Source, ResultSource::CacheHit);
+  ServerStats St = Server.stats();
+  EXPECT_EQ(St.ResultCache.Entries, 1u);
+  EXPECT_EQ(St.ResultCache.Bytes, SO.CacheBytes);
+  EXPECT_EQ(St.ResultCache.Evictions, 0u);
+}
+
+// With room for two entries, touching A and then inserting C evicts B: the
+// least recently used entry of the whole cache goes.
+TEST(ServerTest, EvictionDropsTheLeastRecentlyUsedEntry) {
+  const std::string A = "(gma a (assign r (add64 x 101)))";
+  const std::string B = "(gma b (assign r (add64 x 102)))";
+  const std::string C = "(gma c (assign r (add64 x 103)))";
+  const size_t Bytes = entryBytes(A);
+  ASSERT_EQ(entryBytes(B), Bytes);
+  ASSERT_EQ(entryBytes(C), Bytes);
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  SO.CacheBytes = 2 * Bytes;
+  CompileServer Server(SO);
+
+  EXPECT_EQ(Server.compileText(A).Source, ResultSource::Cold);
+  EXPECT_EQ(Server.compileText(B).Source, ResultSource::Cold);
+  EXPECT_EQ(Server.compileText(A).Source, ResultSource::CacheHit);
+  EXPECT_EQ(Server.compileText(C).Source, ResultSource::Cold);
+  ServerStats St = Server.stats();
+  EXPECT_EQ(St.ResultCache.Entries, 2u);
+  EXPECT_EQ(St.ResultCache.Evictions, 1u);
+  EXPECT_EQ(Server.compileText(A).Source, ResultSource::CacheHit);
+  EXPECT_EQ(Server.compileText(B).Source, ResultSource::Cold);
+}
+
+// A hit answers with the request's GMA and with what the cold answer says
+// of the compile: its match counts, search record and program. The cold
+// answer's per-axiom match rows stay with the cold answer.
+TEST(ServerTest, HitCarriesTheRequestsGmaAndTheColdCounts) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  CompileServer Server(SO);
+  const std::string Text = "(gma f (assign r (xor64 a (add64 b 5))))";
+  ServerResponse Cold = Server.compileText(Text);
+  ASSERT_TRUE(Cold.Result.ok()) << Cold.Result.Error;
+  EXPECT_FALSE(Cold.Result.Matching.PerAxiom.empty());
+
+  auto Counts = [](const match::MatchStats &M) {
+    return std::make_tuple(M.Rounds, M.MatchesFound, M.InstancesDeduped,
+                           M.InstancesAsserted, M.FinalNodes, M.FinalClasses,
+                           M.Quiesced, M.BudgetOverflows, M.BudgetSkips,
+                           M.PhaseAdvances, M.Merges, M.CongruenceMerges,
+                           M.ConstantFolds, M.Rebuilds, M.AdaptiveSeeded,
+                           M.AdaptiveDemoted);
+  };
+  const ir::Context &Ctx = Server.opt().context();
+  for (const std::string &Request :
+       {Text, std::string("(gma g (assign out (xor64 x (add64 5 y))))")}) {
+    ServerResponse Hit = Server.compileText(Request);
+    ASSERT_TRUE(Hit.Result.ok()) << Hit.Result.Error;
+    EXPECT_EQ(Hit.Source, ResultSource::CacheHit);
+    EXPECT_EQ(verify::printGma(Ctx, Hit.Result.Gma),
+              verify::printGma(Ctx, parse(Server.opt(), Request)));
+    EXPECT_EQ(Counts(Hit.Result.Matching), Counts(Cold.Result.Matching));
+    EXPECT_TRUE(Hit.Result.Matching.PerAxiom.empty());
+    EXPECT_EQ(Hit.Result.Search.Cycles, Cold.Result.Search.Cycles);
+    EXPECT_EQ(Hit.Result.Search.Probes.size(),
+              Cold.Result.Search.Probes.size());
+  }
+  ServerResponse Dup = Server.compileText(Text);
+  EXPECT_EQ(Dup.Result.Search.Program.toString(),
+            Cold.Result.Search.Program.toString());
 }
 
 // Several clients send one new text at once; its compile takes about

@@ -404,6 +404,37 @@ TEST(Surface, ExpressionNestingIsBoundedLikeTheSExpressionReader) {
   }
 }
 
+TEST(Surface, StatementNestingIsBoundedLikeExpressions) {
+  // \var, \do and \if each parse their body one level deeper, one opener a
+  // line from line 2. At sexpr::MaxNesting levels the procedure reads; one
+  // more is an error at the opener that goes too deep.
+  const unsigned Max = sexpr::MaxNesting;
+  auto proc = [](unsigned N, const std::string &Open,
+                 const std::string &Close) {
+    std::string S = "\\proc deep : [ a : long ] -> long =\n";
+    for (unsigned I = 0; I < N; ++I)
+      S += Open + "\n";
+    S += "\\res := a\n";
+    for (unsigned I = 0; I < N; ++I)
+      S += Close;
+    return S + "\\end\n";
+  };
+  const struct {
+    const char *Open, *Close, *Keyword;
+  } Forms[] = {{"\\var v : long \\in", "", "\\var"},
+               {"\\do a < 1 ->", "\\od\n", "\\do"},
+               {"\\if a < 1 ->", "\\fi\n", "\\if"}};
+  for (const auto &F : Forms) {
+    SCOPED_TRACE(F.Keyword);
+    parseOk(proc(Max, F.Open, F.Close));
+    std::string Err;
+    EXPECT_FALSE(parseSurfaceModule(proc(Max + 1, F.Open, F.Close), &Err));
+    EXPECT_EQ(Err, strFormat("%u:1: statement nested deeper than %u (at "
+                             "'%s')",
+                             Max + 2, Max, F.Keyword));
+  }
+}
+
 TEST(Surface, TwoByteSwapEndToEnd) {
   // The surface syntax and prototype syntax produce identical results.
   const char *Src = R"(
